@@ -8,8 +8,12 @@ which spend their time hashing tuples of arbitrary constants.  A
 integers:
 
 * constants get **local ids** ``0..n-1`` (in canonical ``sorted_adom``
-  order for fresh builds) plus the process-wide **global ids** of
-  :mod:`repro.db.interner`;
+  order for fresh builds); the process-wide **global ids** of
+  :mod:`repro.db.interner` (:attr:`CompactInstance.gids`) are computed
+  on first access only, because only the Claim 5 Datalog EDB encoder
+  (the forced ``nl`` method) reads them -- every ``auto`` route works on
+  local ids, so building or patching a view interns nothing and the
+  process-wide interner does not grow with the constants it serves;
 * each relation gets an **int-indexed out-edge adjacency**
   (``out[rel][key_lid]`` is the tuple of value lids -- the block
   contents), the matching in-adjacency (``in_[rel][value_lid]`` is the
@@ -56,7 +60,7 @@ class CompactInstance:
         "n",
         "consts",
         "local_of",
-        "gids",
+        "_gids",
         "alive",
         "relations",
         "out",
@@ -77,7 +81,7 @@ class CompactInstance:
         interner: Interner,
         consts: List[Hashable],
         local_of: Dict[Hashable, int],
-        gids: "array",
+        gids: Optional["array"],
         alive: bytearray,
         out: Dict[str, List[Tuple[int, ...]]],
         out_deg: Dict[str, "array"],
@@ -88,7 +92,7 @@ class CompactInstance:
         view.n = len(consts)
         view.consts = consts
         view.local_of = local_of
-        view.gids = gids
+        view._gids = gids
         view.alive = alive
         view.relations = tuple(sorted(out))
         view.out = out
@@ -119,7 +123,6 @@ class CompactInstance:
         consts = list(db.sorted_adom())
         n = len(consts)
         local_of = {c: i for i, c in enumerate(consts)}
-        gids = array("q", map(interner.constant_id, consts))
         alive = bytearray(b"\x01") * n
         out_lists: Dict[str, List[List[int]]] = {}
         in_lists: Dict[str, List[List[int]]] = {}
@@ -152,7 +155,7 @@ class CompactInstance:
                 for r in in_lists[relation]
             ]
         return cls._assemble(
-            interner, consts, local_of, gids, alive, out, out_deg, in_
+            interner, consts, local_of, None, alive, out, out_deg, in_
         )
 
     def patched(
@@ -176,7 +179,7 @@ class CompactInstance:
             return self
         consts = list(self.consts)
         local_of = dict(self.local_of)
-        gids = array("q", self.gids)
+        gids = None if self._gids is None else array("q", self._gids)
         alive = bytearray(self.alive)
         interner = self.interner
 
@@ -191,7 +194,8 @@ class CompactInstance:
             if constant not in local_of:
                 local_of[constant] = len(consts)
                 consts.append(constant)
-                gids.append(interner.constant_id(constant))
+                if gids is not None:
+                    gids.append(interner.constant_id(constant))
                 alive.append(0)
         for constant in delta_constants:
             alive[local_of[constant]] = 1 if constant in refcounts else 0
@@ -261,6 +265,23 @@ class CompactInstance:
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
+
+    @property
+    def gids(self) -> "array":
+        """Process-wide interner ids of the constants, by local id.
+
+        Interned on first access and kept (a patched view extends them
+        only if its parent had them): the Claim 5 Datalog EDB encoder is
+        the one reader, so views that never meet it never touch the
+        interner.  Threads racing on the first access compute equal
+        arrays (interner ids never change), so no lock is needed.
+        """
+        gids = self._gids
+        if gids is None:
+            gids = self._gids = array(
+                "q", map(self.interner.constant_id, self.consts)
+            )
+        return gids
 
     def csr(self, relation: str) -> Tuple["array", "array", "array"]:
         """CSR-style edge arrays ``(block_keys, block_offsets, values)``.

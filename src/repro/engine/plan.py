@@ -9,7 +9,10 @@ query.  A :class:`CompiledQuery` is that per-query residue:
 
 * the Theorem 3 classification and the dispatch route it determines;
 * the :class:`~repro.solvers.fixpoint.FixpointTables` of Figure 5;
-* the Claim 5 linear-Datalog program (NL route; lazily for forced ``nl``);
+* the Claim 5 linear-Datalog program, built on first use of the forced
+  ``nl`` method (``auto`` decides NL-complete queries with the Figure 5
+  fixpoint, which is exact on them: C2 ⊆ C3 by Proposition 1 and ``N``
+  is exact under C3 by Lemma 7);
 * a :class:`SatSkeleton` fixing the falsifying-repair encoding options;
 * lazily on first use: ``NFA(q)``, the ``NFAmin(q)`` DFA, and the
   Lemma 13 FO sentence (inspection artifacts; the hot paths use the
@@ -143,8 +146,6 @@ class CompiledQuery:
         self._datalog: Union[CqaProgram, None, object] = _UNSET
         self._datalog_error: Optional[str] = None
         self._datalog_compact = None
-        if self.complexity is ComplexityClass.NL_COMPLETE:
-            self._build_datalog()
         self._nfa = None
         self._minimal_dfa = None
         self._fo_sentence = _UNSET
@@ -169,7 +170,7 @@ class CompiledQuery:
     @property
     def datalog_program(self) -> Optional[CqaProgram]:
         """The Claim 5 program, or ``None`` when no verified decomposition
-        exists (built on first access for non-NL queries)."""
+        exists (built on first access)."""
         return self._build_datalog()
 
     def _compact_datalog(self, program: CqaProgram):
@@ -266,18 +267,14 @@ class CompiledQuery:
         complexity = self.complexity
         if complexity is ComplexityClass.FO:
             return certain_answer_fo(db, self.word, check=False)
-        if complexity is ComplexityClass.NL_COMPLETE:
-            program = self._build_datalog()
-            if program is not None:
-                return certain_answer_nl(
-                    db, self.word, program=program,
-                    compiled=self._compact_datalog(program),
-                )
-            result = self._fixpoint(db, require_c3=False)
-            result.details["nl_fallback"] = True
-            return result
-        if complexity is ComplexityClass.PTIME_COMPLETE:
-            return self._fixpoint(db, require_c3=False)
+        if complexity in (
+            ComplexityClass.NL_COMPLETE, ComplexityClass.PTIME_COMPLETE
+        ):
+            # Both classes satisfy C3 (C2 ⊆ C3 by Proposition 1), where
+            # the Figure 5 fixpoint is exact (Lemma 7).  The Claim 5
+            # program stays available as method="nl", but its binary
+            # ``cyclepath`` closure costs O(n²) on chains.
+            return self._fixpoint(db, require_c3=True)
         return conp_solve(
             db, self.word, tables=self.tables, skeleton=self.sat_skeleton
         )

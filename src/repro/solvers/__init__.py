@@ -7,7 +7,7 @@
 * :mod:`repro.solvers.fo_solver` -- the first-order rewriting solver
   (Lemmas 12, 13; C1 queries);
 * :mod:`repro.solvers.nl_solver` -- the linear-Datalog solver
-  (Lemma 14; C2 queries);
+  (Lemma 14; C2 queries; the forced ``method="nl"``);
 * :mod:`repro.solvers.brute_force` -- exhaustive repair enumeration
   (exponential baseline, ground truth for tests);
 * :mod:`repro.solvers.sat` / :mod:`repro.solvers.sat_encoding` -- a DPLL

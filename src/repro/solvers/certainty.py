@@ -4,9 +4,9 @@
 the matching algorithm:
 
 * C1  -> first-order rewriting (Lemma 13);
-* C2  -> linear Datalog (Lemma 14), falling back to the fixpoint
-  algorithm when no verified decomposition is available;
-* C3  -> the Figure 5 fixpoint algorithm (Lemma 11);
+* C2, C3 -> the Figure 5 fixpoint algorithm (Lemma 11; exact because
+  C2 ⊆ C3 by Proposition 1); the linear-Datalog program of Lemma 14
+  is the forced ``method="nl"``, quadratic on chains;
 * else -> the SAT baseline, *pre-filtered* by the fixpoint algorithm: its
   "no" answers are sound for every query (Lemma 10 gives a falsifying
   repair), so the expensive SAT call only runs on fixpoint-"yes"

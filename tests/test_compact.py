@@ -3,7 +3,8 @@
 Differential coverage for PR 4's interned / array-backed execution
 representation:
 
-* :class:`~repro.db.interner.Interner` id stability;
+* :class:`~repro.db.interner.Interner` id stability, and that only the
+  forced ``nl`` method grows it (global ids are lazy);
 * :class:`~repro.db.compact.CompactInstance` -- the view built fresh
   and the view carried forward by O(delta) ``patched`` commits must
   describe the same instance (same adjacency, same live domain);
@@ -25,6 +26,7 @@ representation:
   unresolved, and ``CertaintyResult.strip``.
 """
 
+import itertools
 import pickle
 import random
 
@@ -132,6 +134,80 @@ class TestInterner:
     def test_interner_refuses_pickle(self):
         with pytest.raises(TypeError):
             pickle.dumps(Interner())
+
+
+_FRESH_TAGS = itertools.count()
+
+
+def fresh_chain(query, conflict_every=None):
+    """``chain_instance`` relabeled onto constants no test interned yet."""
+    tag = ("interner-growth", next(_FRESH_TAGS))
+    return DatabaseInstance(
+        Fact(f.relation, (tag, f.key), (tag, f.value))
+        for f in chain_instance(
+            query, repetitions=4, conflict_every=conflict_every
+        ).facts
+    )
+
+
+class TestInternerGrowth:
+    """Only the Claim 5 Datalog encoder interns constants.
+
+    ``CompactInstance.gids`` is computed on first access, and every
+    ``auto`` route (FO, the Figure 5 fixpoint, the coNP prefilter and
+    SAT) works on local ids, so cold solves and deltas over fresh
+    constants leave the process-wide interner as it was.
+    """
+
+    def test_auto_routes_and_deltas_intern_nothing(self):
+        interner = global_interner()
+        engine = CertaintyEngine()
+        methods = set()
+        for query in ("RXRX", "RRX", "RXRYRY", "ARRX"):
+            for conflict_every in (None, 1, 3):
+                db = fresh_chain(query, conflict_every)
+                before = interner.n_constants
+                methods.add(engine.solve(db, query).method)
+                tag = ("interner-growth-delta", next(_FRESH_TAGS))
+                delta = Delta.inserting(
+                    (query[0], (tag, 0), (tag, 1)),
+                    (query[-1], (tag, 1), (tag, 2)),
+                )
+                methods.add(engine.solve_delta(db, delta, query).method)
+                assert interner.n_constants == before, (query, conflict_every)
+        assert {"fo", "fixpoint", "sat", "fixpoint-prefilter"} <= methods
+
+    def test_forced_nl_still_interns(self):
+        # The Claim 5 program is evaluated over interned EDB rows, so the
+        # forced "nl" method is the one route that grows the interner.
+        interner = global_interner()
+        db = fresh_chain("RRX", 3)
+        before = interner.n_constants
+        CertaintyEngine().solve(db, "RRX", method="nl")
+        assert interner.n_constants > before
+
+    def test_gids_lazy_through_patches(self):
+        interner = global_interner()
+        db = fresh_chain("RRX")
+        db.compact()
+        tag = ("interner-growth-patch", next(_FRESH_TAGS))
+        before = interner.n_constants
+        child = Delta.inserting(("R", (tag, 0), (tag, 1))).apply_to(db).commit()
+        view = child.compact()
+        assert view._gids is None
+        assert interner.n_constants == before
+        assert list(view.gids) == [interner.constant_id(c) for c in view.consts]
+        # A view that has global ids hands them on, extended by the patch.
+        grandchild = (
+            Delta.inserting(("X", (tag, 1), (tag, 2)))
+            .apply_to(child)
+            .commit()
+            .compact()
+        )
+        assert grandchild._gids is not None
+        assert list(grandchild.gids) == [
+            interner.constant_id(c) for c in grandchild.consts
+        ]
 
 
 class TestCompactInstance:

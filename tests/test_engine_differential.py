@@ -7,7 +7,9 @@ queries spanning all four Theorem 2 complexity classes, the engine's
 * brute-force repair enumeration (ground truth, always applicable);
 * the SAT baseline (always applicable);
 * the FO rewriting solver (C1 queries);
-* the linear-Datalog NL solver (queries with a verified decomposition);
+* the linear-Datalog NL solver (queries with a verified decomposition;
+  for NL-complete queries, which ``auto`` decides with the Figure 5
+  fixpoint, also on Figure 2 and on chains);
 * the Figure 5 fixpoint algorithm (C3 queries; for non-C3 queries its
   "no" answers must still imply the engine's "no" -- Lemma 10 soundness);
 
@@ -27,7 +29,14 @@ from repro.solvers.fixpoint import certain_answer_fixpoint
 from repro.solvers.fo_solver import certain_answer_fo
 from repro.solvers.nl_solver import certain_answer_nl, nl_supported
 from repro.solvers.sat_encoding import certain_answer_sat
-from repro.workloads.generators import planted_instance, random_instance
+from repro.workloads.generators import (
+    chain_instance,
+    planted_instance,
+    random_instance,
+)
+from repro.workloads.paper_instances import figure2_instance
+
+from tests.conftest import PAPER_TABLE
 
 #: Two queries per Theorem 2 complexity class.
 CLASS_QUERIES = [
@@ -150,6 +159,59 @@ class TestBatchEqualsSequential:
         assert results[3].method == "generalized"
         # The three spellings of RRX share one compiled plan.
         assert engine.cache_info()["compiles"] <= 3
+
+
+NL_QUERIES = [q for q, cls in PAPER_TABLE if cls == "NL-complete"]
+
+
+def _nl_inputs(query):
+    """Figure 2, planted and chain inputs, certain and non-certain."""
+    rng = random.Random(0x4E4C + sum(map(ord, query)))
+    instances = [figure2_instance()]
+    for _ in range(6):
+        instances.append(
+            planted_instance(
+                rng,
+                query,
+                rng.randint(2, 5),
+                n_paths=rng.randint(1, 2),
+                n_noise_facts=rng.randint(0, 6),
+                conflict_rate=0.6,
+            )
+        )
+    for repetitions in (1, 2, 3):
+        instances.append(chain_instance(query, repetitions=repetitions))
+    for repetitions in (1, 2):
+        instances.append(
+            chain_instance(query, repetitions=repetitions, conflict_every=1)
+        )
+    return [db for db in instances if count_repairs(db) <= REPAIR_LIMIT]
+
+
+class TestNlAutoRoute:
+    """``auto`` decides NL-complete queries with the Figure 5 fixpoint.
+
+    C2 ⊆ C3 (Proposition 1) and ``N`` is exact under C3 (Lemma 7), so the
+    fixpoint must agree with the Claim 5 program (``method="nl"``) and
+    with brute force on every input.
+    """
+
+    @pytest.mark.parametrize("query", NL_QUERIES)
+    def test_auto_equals_nl_and_brute_force(self, query):
+        engine = CertaintyEngine()
+        inputs = _nl_inputs(query)
+        answers = set()
+        for db in inputs:
+            auto = engine.solve(db, query)
+            assert auto.method == "fixpoint"
+            truth = certain_answer_brute_force(db, query).answer
+            assert auto.answer == truth, (query, db)
+            assert engine.solve(db, query, method="nl").answer == truth
+            if not auto.answer:
+                assert auto.falsifying_repair.is_repair_of(db)
+            answers.add(truth)
+        # Both outcomes occur, so neither branch is vacuous.
+        assert answers == {True, False}
 
 
 @pytest.mark.slow

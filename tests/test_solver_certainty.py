@@ -29,7 +29,7 @@ class TestDispatch:
 
     def test_auto_uses_matching_method(self):
         db = figure2_instance()
-        assert certain_answer(db, "RRX").method == "nl"
+        assert certain_answer(db, "RRX").method == "fixpoint"
         assert certain_answer(db, "RXRX").method == "fo"
         assert certain_answer(db, "RXRYRY").method == "fixpoint"
         conp = certain_answer(figure3_instance(), "ARRX")

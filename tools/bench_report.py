@@ -6,7 +6,9 @@ The CI ``bench-smoke`` job records each benchmark family as a
 format).  This tool folds any number of those files -- from one run or
 from several runs being compared -- into a single markdown table sorted
 by family and test, so the performance trajectory across PRs can be read
-(and diffed) in one place.
+(and diffed) in one place.  Scaling rows (``BENCH_scaling.json``) carry
+a log-log ``slope`` and its gate in ``extra_info``; the table prints
+them in the slope column.
 
 Usage::
 
@@ -64,23 +66,36 @@ def load_records(path: str) -> Optional[List[Dict]]:
                 "min": stats.get("min"),
                 "mean": stats.get("mean"),
                 "rounds": stats.get("rounds"),
+                "slope": extra.get("slope"),
+                "gate": extra.get("gate"),
                 "notes": extra.get("notes", ""),
             }
         )
     return records
 
 
+def _format_slope(record: Dict) -> str:
+    """A scaling row's log-log slope, with its gate when it has one."""
+    slope = record.get("slope")
+    if slope is None:
+        return "-"
+    gate = record.get("gate")
+    if gate is None:
+        return "{:.2f}".format(slope)
+    return "{:.2f} (<= {})".format(slope, gate)
+
+
 def render_table(records: List[Dict]) -> str:
     """The merged trajectory as a markdown table."""
     lines = [
-        "| family | benchmark | min | mean | rounds | notes |",
-        "| --- | --- | ---: | ---: | ---: | --- |",
+        "| family | benchmark | min | mean | rounds | slope | notes |",
+        "| --- | --- | ---: | ---: | ---: | ---: | --- |",
     ]
     for record in sorted(
         records, key=lambda r: (r["family"], str(r["test"]))
     ):
         lines.append(
-            "| {} | {} | {} | {} | {} | {} |".format(
+            "| {} | {} | {} | {} | {} | {} | {} |".format(
                 record["family"],
                 record["test"],
                 _format_seconds(record["min"])
@@ -90,6 +105,7 @@ def render_table(records: List[Dict]) -> str:
                 if record["mean"] is not None
                 else "-",
                 record["rounds"] if record["rounds"] is not None else "-",
+                _format_slope(record),
                 record.get("notes") or "",
             )
         )
