@@ -1,17 +1,15 @@
 """E17: the compact integer data plane vs the object-level kernels.
 
-Pins the PR 4 claim: on the existing NL / PTIME chain workloads, the
-array-backed Figure 5 kernel (:func:`repro.solvers.fixpoint.fixpoint_bits`)
-and the interned register-compiled Datalog engine
-(:class:`repro.datalog.engine.CompactProgram`) are each >= 3x faster than
-the retained object-level baselines (:func:`fixpoint_relation` and the
-hash-indexed :func:`evaluate_program`).  Every timed computation is
-asserted equal to its baseline, so the speedup never comes at the price
-of a diverging answer.
+Pins the compact-plane claim: on the existing NL / PTIME chain
+workloads, the array-backed Figure 5 kernel
+(:func:`repro.solvers.fixpoint.fixpoint_bits`) is >= 3x faster than the
+object-level reference :func:`fixpoint_relation`.  Every timed
+computation is asserted equal to its reference, so the speedup never
+comes at the price of a diverging answer.
 
 Timing protocol: best-of-N per kernel on warm state (instances resident,
-compact views and compiled programs built) -- the serving scenario both
-kernels were built for.  Scheduler noise only ever adds seconds, so the
+compact views and kernel plans built) -- the serving scenario the
+kernel was built for.  Scheduler noise only ever adds seconds, so the
 minimum is a robust per-kernel estimate and the ratio of aggregate
 minima a robust speedup floor.
 """
@@ -21,8 +19,6 @@ import time
 
 import pytest
 
-from repro.datalog.cqa_program import build_cqa_program, instance_to_edb
-from repro.datalog.engine import compact_program, evaluate_program
 from repro.solvers.fixpoint import (
     FixpointTables,
     fixpoint_bits,
@@ -32,7 +28,7 @@ from repro.workloads.generators import chain_instance
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
-#: The headline PR 4 gate: compact kernels vs object-level baselines.
+#: The headline gate: compact kernel vs the object-level reference.
 COMPACT_SPEEDUP_FLOOR = 3.0
 
 REPETITIONS = 60 if QUICK else 150
@@ -42,14 +38,11 @@ PASSES = 5
 #: compact fixpoint kernel serves.
 FIXPOINT_WORKLOADS = [("RRX", "NL-complete"), ("RXRYRY", "PTIME-complete")]
 
-#: The existing NL chain workloads (test_bench_nl.py shapes).
-DATALOG_WORKLOADS = ["RRX", "RXRY"]
 
-
-def _best(callable_, passes=PASSES):
+def _best(callable_):
     best = float("inf")
     result = None
-    for _ in range(passes):
+    for _ in range(PASSES):
         start = time.perf_counter()
         result = callable_()
         best = min(best, time.perf_counter() - start)
@@ -80,48 +73,6 @@ def test_bench_e17_compact_fixpoint_speedup():
     speedup = object_seconds / compact_seconds
     assert speedup >= COMPACT_SPEEDUP_FLOOR, (
         "expected >= {}x compact-fixpoint speedup, measured {:.1f}x "
-        "(object {:.4f}s vs compact {:.4f}s)".format(
-            COMPACT_SPEEDUP_FLOOR, speedup, object_seconds, compact_seconds
-        )
-    )
-
-
-def test_bench_e17_compact_datalog_speedup():
-    """CompactProgram.evaluate >= 3x the indexed object engine on the
-    Claim 5 programs over the NL chain workloads."""
-    object_seconds = 0.0
-    compact_seconds = 0.0
-    for query in DATALOG_WORKLOADS:
-        db = chain_instance(
-            query, repetitions=REPETITIONS // 3, conflict_every=4
-        )
-        cqa = build_cqa_program(query)
-        edb = instance_to_edb(db)
-        compiled = compact_program(cqa.program)
-        intern = compiled.interner.constant_id
-        decode = compiled.interner.constant
-        edb_int = {
-            predicate: [tuple(intern(v) for v in row) for row in rows]
-            for predicate, rows in edb.items()
-        }
-        best_object, object_mat = _best(
-            lambda: evaluate_program(cqa.program, edb), passes=3
-        )
-        best_compact, compact_mat = _best(
-            lambda: compiled.evaluate(edb_int), passes=3
-        )
-        decoded = {
-            predicate: {tuple(decode(v) for v in row) for row in rows}
-            for predicate, rows in compact_mat.items()
-        }
-        assert decoded == object_mat, (
-            "compact engine diverged on {}".format(query)
-        )
-        object_seconds += best_object
-        compact_seconds += best_compact
-    speedup = object_seconds / compact_seconds
-    assert speedup >= COMPACT_SPEEDUP_FLOOR, (
-        "expected >= {}x compact-Datalog speedup, measured {:.1f}x "
         "(object {:.4f}s vs compact {:.4f}s)".format(
             COMPACT_SPEEDUP_FLOOR, speedup, object_seconds, compact_seconds
         )

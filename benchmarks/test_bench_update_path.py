@@ -1,11 +1,8 @@
-"""The update path end-to-end: four legs, four pinned speedups.
+"""The update path end-to-end: three legs, three pinned speedups.
 
 One benchmark per leg of the fast update path, each differential (the
 fast leg must produce the same answers as its baseline) and each gated:
 
-* **compact resume** -- :class:`CompactDatalogState.resume` (retained
-  int-tuple materialization, semi-naive reseed) >= 2x the object-level
-  :class:`DatalogState.resume` on the same insert stream;
 * **incremental SAT** -- assumption-keyed clause-group reuse
   (:class:`IncrementalSatContext.apply_delta` + ``solve``) >= 2x
   rebuilding the context from scratch on every step;
@@ -30,17 +27,6 @@ import time
 
 import pytest
 
-from repro.datalog.cqa_program import (
-    ADOM,
-    build_cqa_program,
-    instance_to_edb,
-    rel,
-)
-from repro.datalog.engine import (
-    CompactDatalogState,
-    DatalogState,
-    compact_program,
-)
 from repro.db.delta import Delta, DeltaInstance
 from repro.db.facts import Fact
 from repro.db.instance import DatabaseInstance
@@ -58,13 +44,10 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
 #: Full-mode floors are the PR's acceptance gates; quick mode relaxes
 #: them for noisy shared runners, as the other benchmark suites do.
-RESUME_FLOOR = 1.5 if QUICK else 2.0
 SAT_FLOOR = 1.5 if QUICK else 2.0
 GENERALIZED_FLOOR = 2.0 if QUICK else 5.0
 SHM_FLOOR = 1.2 if QUICK else 1.5
 
-RESUME_REPETITIONS = 40 if QUICK else 120
-RESUME_UPDATES = 20 if QUICK else 60
 SAT_BRANCHES = 8 if QUICK else 16
 SAT_UPDATES = 12 if QUICK else 30
 GEN_REPETITIONS = 30 if QUICK else 60
@@ -81,94 +64,7 @@ PASSES = 3
 
 
 # ----------------------------------------------------------------------
-# Leg 1: compact semi-naive resume vs object-level resume
-# ----------------------------------------------------------------------
-
-
-def _resume_stream(query, repetitions, n_updates):
-    """An insert-only EDB delta stream over a conflicted chain."""
-    db = chain_instance(query, repetitions=repetitions, conflict_every=4)
-    n_nodes = repetitions * len(query)
-    deltas = []
-    for i in range(n_updates):
-        position = (7 * i) % (n_nodes - 1)
-        fact = Fact(
-            query[position % len(query)], position, n_nodes + 100 + i
-        )
-        deltas.append(
-            {
-                rel(fact.relation): [(fact.key, fact.value)],
-                ADOM: [(fact.key,), (fact.value,)],
-            }
-        )
-    return db, deltas
-
-
-def test_bench_compact_resume_speedup():
-    """CompactDatalogState.resume >= 2x DatalogState.resume."""
-    query = "RRX"
-    cqa = build_cqa_program(query)
-    db, deltas = _resume_stream(query, RESUME_REPETITIONS, RESUME_UPDATES)
-    edb = instance_to_edb(db)
-    compiled = compact_program(cqa.program)
-    intern = compiled.interner.constant_id
-    edb_int = {
-        predicate: [tuple(intern(v) for v in row) for row in rows]
-        for predicate, rows in edb.items()
-    }
-    deltas_int = [
-        {
-            predicate: [tuple(intern(v) for v in row) for row in rows]
-            for predicate, rows in delta.items()
-        }
-        for delta in deltas
-    ]
-
-    compact_seconds = float("inf")
-    for _pass in range(PASSES):
-        compact = CompactDatalogState.evaluate(compiled, edb_int)
-        start = time.perf_counter()
-        for delta in deltas_int:
-            compact.resume(delta)
-        compact_seconds = min(
-            compact_seconds, time.perf_counter() - start
-        )
-
-    obj = DatalogState.evaluate(cqa.program, edb)
-    start = time.perf_counter()
-    for delta in deltas:
-        obj.resume(delta)
-    object_seconds = time.perf_counter() - start
-
-    # Differential: the final materializations agree.
-    decode = compiled.interner.constant
-    decoded = {
-        predicate: {tuple(decode(v) for v in row) for row in rows}
-        for predicate, rows in compact.store.relations.items()
-        if rows
-    }
-    materialized = {
-        predicate: set(map(tuple, rows))
-        for predicate, rows in obj.relations.items()
-        if rows
-    }
-    assert decoded == materialized
-
-    speedup = object_seconds / compact_seconds
-    assert speedup >= RESUME_FLOOR, (
-        "expected >= {}x compact resume speedup, measured {:.1f}x "
-        "(object {:.4f}s vs compact {:.4f}s over {} inserts)".format(
-            RESUME_FLOOR,
-            speedup,
-            object_seconds,
-            compact_seconds,
-            len(deltas),
-        )
-    )
-
-
-# ----------------------------------------------------------------------
-# Leg 2: incremental SAT under assumptions vs rebuild-from-scratch
+# Leg 1: incremental SAT under assumptions vs rebuild-from-scratch
 # ----------------------------------------------------------------------
 
 
@@ -232,7 +128,7 @@ def test_bench_incremental_sat_speedup():
 
 
 # ----------------------------------------------------------------------
-# Leg 3: generalized-query maintenance vs warm full re-solve
+# Leg 2: generalized-query maintenance vs warm full re-solve
 # ----------------------------------------------------------------------
 
 
@@ -308,7 +204,7 @@ def test_bench_generalized_delta_speedup():
 
 
 # ----------------------------------------------------------------------
-# Leg 4: shared-memory snapshot shipping vs pickled frames
+# Leg 3: shared-memory snapshot shipping vs pickled frames
 # ----------------------------------------------------------------------
 
 
@@ -389,37 +285,6 @@ def test_bench_shm_snapshot_speedup():
 # ----------------------------------------------------------------------
 # Recorded per-operation timings (pytest-benchmark, BENCH_update_path)
 # ----------------------------------------------------------------------
-
-
-def test_bench_compact_resume_per_insert(benchmark):
-    query = "RRX"
-    cqa = build_cqa_program(query)
-    db, deltas = _resume_stream(query, RESUME_REPETITIONS, RESUME_UPDATES)
-    compiled = compact_program(cqa.program)
-    intern = compiled.interner.constant_id
-    edb_int = {
-        predicate: [
-            tuple(intern(v) for v in row) for row in rows
-        ]
-        for predicate, rows in instance_to_edb(db).items()
-    }
-    state = CompactDatalogState.evaluate(compiled, edb_int)
-    deltas_int = [
-        {
-            predicate: [tuple(intern(v) for v in row) for row in rows]
-            for predicate, rows in delta.items()
-        }
-        for delta in deltas
-    ]
-    cursor = {"i": 0}
-
-    def resume_once():
-        delta = deltas_int[cursor["i"] % len(deltas_int)]
-        cursor["i"] += 1
-        return state.resume(delta)
-
-    relations = benchmark(resume_once)
-    assert relations
 
 
 def test_bench_incremental_sat_per_delta(benchmark):

@@ -12,7 +12,6 @@ from repro.datalog.engine import (
     CompactProgram,
     compact_program,
     evaluate_program,
-    evaluate_program_compact,
 )
 from repro.datalog.cqa_program import build_cqa_program, CqaProgram
 
@@ -23,7 +22,6 @@ __all__ = [
     "is_linear",
     "stratify",
     "evaluate_program",
-    "evaluate_program_compact",
     "CompactProgram",
     "compact_program",
     "build_cqa_program",

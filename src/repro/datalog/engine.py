@@ -6,40 +6,20 @@ against the delta of the previous round).  Negated literals look up fully
 computed relations (stratification guarantees they are), and the ``neq``
 builtin is checked once its arguments are bound.
 
-Joins are *hash-indexed*: for each body literal the evaluator derives the
-bound-position signature -- the argument positions holding constants or
-variables bound by earlier literals -- and probes a per-relation hash
-index keyed on those positions instead of scanning the whole relation.
-Indexes are built lazily on first probe and maintained incrementally as
-tuples are derived, so each stratum pays for exactly the access paths its
-rules use.  The historical scan-and-unify evaluator is preserved as
-:func:`evaluate_program_naive` (the benchmark baseline).
+One evaluator runs the Claim 5 programs: the **compact engine**
+(:class:`CompactProgram`, :func:`evaluate_program`).  Constants are
+interned to dense ints (:mod:`repro.db.interner`), rules are compiled
+once into register programs (variables become list slots, probe keys
+become precomputed extractor tuples), and rows are int tuples.  Joins
+are hash-indexed: each body literal probes a per-relation index keyed
+on its bound positions -- constants and variables bound by earlier
+literals -- built lazily on first probe and maintained as tuples are
+derived.  No per-row binding dict is allocated and no
+:class:`~repro.queries.atoms.Variable` is hashed on the hot path.
 
-:class:`DatalogState` keeps a program's materialization alive across
-calls and exposes ``resume(delta_edb)``: the semi-naive loop re-runs
-seeded with the delta tuples only, so strata untouched by the delta are
-skipped entirely.  Strata whose *negated* inputs changed (or that sit
-downstream of a retraction) are soundly recomputed from scratch.
-:class:`CompactDatalogState` is the same contract on the compact plane
--- retained int-row IDB relations, maintained join indexes, delta
-frontiers -- and is the production resume path; the object-level state
-stays as its differential baseline.
-
-Three engines share the semi-naive skeleton, fastest first:
-
-* the **compact engine** (:class:`CompactProgram`,
-  :func:`evaluate_program_compact`) -- constants interned to dense ints
-  (:mod:`repro.db.interner`), rules compiled once into register
-  programs (variables become list slots, probe keys become precomputed
-  extractor tuples), rows are int tuples.  No per-row binding dict is
-  allocated and no :class:`~repro.queries.atoms.Variable` is hashed on
-  the hot path.  This is what the NL solver runs.
-* the **object-level indexed engine** (:func:`evaluate_program`,
-  :class:`DatalogState`) -- hash-indexed joins over object tuples with
-  generic unification; retained as the differential baseline for the
-  compact engine, for cold evaluation and resume alike.
-* the **scan-and-unify baseline** (:func:`evaluate_program_naive`) --
-  the historical pre-index inner loop, kept measurable.
+:func:`evaluate_program_naive` is the scan-and-unify reference the
+compact engine is tested against: every body literal enumerates its
+whole relation and unifies row by row.
 """
 
 from __future__ import annotations
@@ -49,7 +29,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.datalog.stratify import stratify
 from repro.datalog.syntax import Literal, Program, Rule
-from repro.db.interner import Interner, global_interner
+from repro.db.interner import global_interner
 from repro.queries.atoms import Variable, is_variable
 
 Tuple_ = Tuple[Hashable, ...]
@@ -58,408 +38,11 @@ Database = Dict[str, Set[Tuple_]]
 _EMPTY: Tuple[Tuple_, ...] = ()
 
 
-def _match(
-    literal: Literal, row: Tuple_, bindings: Dict[Variable, Hashable]
-) -> Optional[Dict[Variable, Hashable]]:
-    """Unify *literal*'s args with *row* under *bindings*; new bindings or None."""
-    if len(literal.args) != len(row):
-        return None
-    new: Dict[Variable, Hashable] = {}
-    for arg, value in zip(literal.args, row):
-        if is_variable(arg):
-            bound = bindings.get(arg, new.get(arg))
-            if bound is None:
-                new[arg] = value
-            elif bound != value:
-                return None
-        elif arg != value:
-            return None
-    return new
-
-
-def _resolve_args(
-    literal: Literal, bindings: Dict[Variable, Hashable]
-) -> Tuple_:
-    values = []
-    for arg in literal.args:
-        if is_variable(arg):
-            values.append(bindings[arg])
-        else:
-            values.append(arg)
-    return tuple(values)
-
-
 def _reordered_body(rule: Rule) -> List[Literal]:
     """Positive non-builtin literals first (join), then builtins/negation."""
     positives = [l for l in rule.body if not l.negated and not l.is_builtin]
     checks = [l for l in rule.body if l.negated or l.is_builtin]
     return positives + checks
-
-
-# ----------------------------------------------------------------------
-# Indexed relation store
-# ----------------------------------------------------------------------
-
-
-class RelationStore:
-    """Relations plus lazily built, incrementally maintained join indexes.
-
-    An index is keyed by ``(predicate, signature)`` where *signature* is
-    the tuple of bound argument positions; it maps the projection of a row
-    onto those positions to the rows sharing it.  ``add`` keeps every live
-    index of the predicate current, so an index is built at most once per
-    evaluation however many semi-naive rounds run.
-    """
-
-    __slots__ = ("relations", "_indexes")
-
-    def __init__(self, relations: Optional[Database] = None) -> None:
-        self.relations: Database = relations if relations is not None else {}
-        self._indexes: Dict[
-            Tuple[str, Tuple[int, ...]], Dict[Tuple_, List[Tuple_]]
-        ] = {}
-
-    def rows(self, predicate: str) -> Iterable[Tuple_]:
-        return self.relations.get(predicate, _EMPTY)
-
-    def contains(self, predicate: str, row: Tuple_) -> bool:
-        return row in self.relations.get(predicate, _EMPTY)
-
-    def add(self, predicate: str, fresh: Iterable[Tuple_]) -> None:
-        relation = self.relations.setdefault(predicate, set())
-        added = [row for row in fresh if row not in relation]
-        relation.update(added)
-        if not added:
-            return
-        for (pred, signature), index in self._indexes.items():
-            if pred != predicate:
-                continue
-            for row in added:
-                key = tuple(row[p] for p in signature)
-                index.setdefault(key, []).append(row)
-
-    def clear_predicate(self, predicate: str) -> None:
-        self.relations[predicate] = set()
-        for key in [k for k in self._indexes if k[0] == predicate]:
-            del self._indexes[key]
-
-    def lookup(
-        self, predicate: str, signature: Tuple[int, ...], key: Tuple_
-    ) -> List[Tuple_]:
-        index = self._indexes.get((predicate, signature))
-        if index is None:
-            index = {}
-            for row in self.relations.get(predicate, _EMPTY):
-                index.setdefault(
-                    tuple(row[p] for p in signature), []
-                ).append(row)
-            self._indexes[(predicate, signature)] = index
-        return index.get(key, [])
-
-
-class _RulePlan:
-    """A rule with its join order and per-literal bound-position signatures.
-
-    The signature of the literal at join depth *i* is the set of argument
-    positions carrying a constant or a variable bound by literals
-    ``0..i-1``; those positions key the hash probe.  Positions left out
-    (first occurrences and in-literal repeats) are validated by
-    :func:`_match` on the narrowed candidate list.
-    """
-
-    __slots__ = ("rule", "positives", "checks", "signatures")
-
-    def __init__(self, rule: Rule) -> None:
-        self.rule = rule
-        body = _reordered_body(rule)
-        self.positives = [
-            l for l in body if not l.negated and not l.is_builtin
-        ]
-        self.checks = body[len(self.positives):]
-        bound: Set[Variable] = set()
-        self.signatures: List[Tuple[int, ...]] = []
-        for literal in self.positives:
-            signature = tuple(
-                pos
-                for pos, arg in enumerate(literal.args)
-                if not is_variable(arg) or arg in bound
-            )
-            self.signatures.append(signature)
-            bound |= literal.variables()
-
-    @property
-    def head_predicate(self) -> str:
-        return self.rule.head.predicate
-
-
-def _evaluate_rule_indexed(
-    plan: _RulePlan,
-    store: RelationStore,
-    delta_predicate: Optional[str] = None,
-    delta: Optional[Set[Tuple_]] = None,
-) -> Set[Tuple_]:
-    """All head tuples derivable from *plan*'s rule, via indexed joins.
-
-    If *delta_predicate* is given, at least one occurrence of that
-    predicate in the body is bound to *delta* instead of the full relation
-    (semi-naive evaluation); we take each occurrence in turn.
-    """
-    positives = plan.positives
-    results: Set[Tuple_] = set()
-
-    delta_positions: List[Optional[int]]
-    if delta_predicate is None:
-        delta_positions = [None]
-    else:
-        delta_positions = [
-            i for i, l in enumerate(positives) if l.predicate == delta_predicate
-        ]
-        if not delta_positions:
-            return results
-
-    rule = plan.rule
-
-    def check_tail(bindings: Dict[Variable, Hashable]) -> bool:
-        for literal in plan.checks:
-            values = _resolve_args(literal, bindings)
-            if literal.is_builtin:
-                if literal.predicate == "neq":
-                    if values[0] == values[1]:
-                        return False
-                else:
-                    raise ValueError(
-                        "unknown builtin {}".format(literal.predicate)
-                    )
-            else:
-                present = store.contains(literal.predicate, values)
-                if literal.negated and present:
-                    return False
-                if not literal.negated and not present:
-                    return False
-        return True
-
-    def candidates(index: int, bindings, delta_at) -> Iterable[Tuple_]:
-        literal = positives[index]
-        if delta_at is not None and index == delta_at:
-            return delta or _EMPTY
-        signature = plan.signatures[index]
-        if not signature:
-            return store.rows(literal.predicate)
-        key = tuple(
-            bindings[arg] if is_variable(arg) else arg
-            for arg in (literal.args[p] for p in signature)
-        )
-        return store.lookup(literal.predicate, signature, key)
-
-    def join(index: int, bindings: Dict[Variable, Hashable], delta_at) -> None:
-        if index == len(positives):
-            if check_tail(bindings):
-                results.add(_resolve_args(rule.head, bindings))
-            return
-        for row in candidates(index, bindings, delta_at):
-            new = _match(positives[index], row, bindings)
-            if new is None:
-                continue
-            bindings.update(new)
-            join(index + 1, bindings, delta_at)
-            for key in new:
-                del bindings[key]
-
-    for delta_at in delta_positions:
-        join(0, {}, delta_at)
-    return results
-
-
-def _run_stratum(
-    plans: List[_RulePlan],
-    store: RelationStore,
-    stratum: Set[str],
-    seed_delta: Optional[Dict[str, Set[Tuple_]]] = None,
-) -> Dict[str, Set[Tuple_]]:
-    """Run one stratum to fixpoint; returns the tuples it derived.
-
-    Without *seed_delta* this is the usual round-0-plus-semi-naive loop.
-    With it (the resume path), round 0 is replaced by joining each rule
-    against the seed deltas -- every new derivation must use at least one
-    changed tuple, so strata are re-entered in O(affected) work.
-    """
-    fresh_total: Dict[str, Set[Tuple_]] = {p: set() for p in stratum}
-    delta: Dict[str, Set[Tuple_]] = {p: set() for p in stratum}
-
-    if seed_delta is None:
-        for plan in plans:
-            derived = _evaluate_rule_indexed(plan, store)
-            fresh = derived - store.relations.get(plan.head_predicate, set())
-            store.add(plan.head_predicate, fresh)
-            delta[plan.head_predicate] |= fresh
-    else:
-        for plan in plans:
-            body_predicates = {l.predicate for l in plan.positives}
-            for predicate in body_predicates:
-                changed = seed_delta.get(predicate)
-                if not changed:
-                    continue
-                derived = _evaluate_rule_indexed(
-                    plan, store, predicate, changed
-                )
-                fresh = derived - store.relations.get(
-                    plan.head_predicate, set()
-                )
-                store.add(plan.head_predicate, fresh)
-                delta[plan.head_predicate] |= fresh
-    for predicate, rows in delta.items():
-        fresh_total[predicate] |= rows
-
-    while any(delta.values()):
-        next_delta: Dict[str, Set[Tuple_]] = {p: set() for p in stratum}
-        for plan in plans:
-            for predicate, changed in delta.items():
-                if not changed:
-                    continue
-                derived = _evaluate_rule_indexed(plan, store, predicate, changed)
-                fresh = derived - store.relations[plan.head_predicate]
-                store.add(plan.head_predicate, fresh)
-                next_delta[plan.head_predicate] |= fresh
-        delta = next_delta
-        for predicate, rows in delta.items():
-            fresh_total[predicate] |= rows
-    return fresh_total
-
-
-class DatalogState:
-    """A program's materialization, kept alive for incremental re-solving.
-
-    ``DatalogState.evaluate(program, edb)`` runs the full bottom-up
-    evaluation and records per-stratum structure; ``resume(delta_edb)``
-    then folds a batch of *inserted* EDB tuples into the materialization:
-
-    * strata none of whose body predicates changed are skipped;
-    * strata touched only through *positive* literals re-run semi-naive
-      seeded with the changed tuples (monotone, hence sound and complete);
-    * strata reading a changed predicate through *negation* -- and every
-      stratum downstream of a retraction -- are recomputed from scratch
-      (insertion under negation is non-monotone, so over-deletion happens
-      wholesale at stratum granularity).
-
-    The net effect: EDB deltas that do not disturb the negated base
-    predicates (for the Claim 5 CQA programs: inserts into existing
-    blocks, which leave every ``key_R`` unchanged) flow through the
-    linear recursion in O(affected) work.
-    """
-
-    __slots__ = ("program", "store", "strata", "_plans_by_stratum")
-
-    def __init__(
-        self,
-        program: Program,
-        store: RelationStore,
-        strata: List[Set[str]],
-    ) -> None:
-        self.program = program
-        self.store = store
-        self.strata = strata
-        self._plans_by_stratum: List[List[_RulePlan]] = [
-            [
-                _RulePlan(rule)
-                for rule in program.rules
-                if rule.head.predicate in stratum
-            ]
-            for stratum in strata
-        ]
-
-    @property
-    def relations(self) -> Database:
-        return self.store.relations
-
-    @classmethod
-    def evaluate(
-        cls, program: Program, edb: Dict[str, Iterable[Tuple_]]
-    ) -> "DatalogState":
-        """Full bottom-up evaluation; returns the resumable state."""
-        relations: Database = {
-            predicate: {tuple(row) for row in rows}
-            for predicate, rows in edb.items()
-        }
-        for predicate in program.idb_predicates():
-            relations.setdefault(predicate, set())
-        for predicate in program.edb_predicates():
-            relations.setdefault(predicate, set())
-        state = cls(program, RelationStore(relations), stratify(program))
-        for plans, stratum in zip(state._plans_by_stratum, state.strata):
-            _run_stratum(plans, state.store, stratum)
-        return state
-
-    def resume(self, delta_edb: Dict[str, Iterable[Tuple_]]) -> Database:
-        """Fold inserted EDB tuples into the materialization.
-
-        *delta_edb* maps EDB predicate names to newly inserted tuples
-        (tuples already present are ignored).  Returns the updated full
-        materialization; the state stays resumable for further deltas.
-        EDB *deletions* are outside this entry point's contract -- delete
-        support lives a level up (the fixpoint solver's over-deletion),
-        and callers with removals re-evaluate from scratch.
-        """
-        changed: Dict[str, Set[Tuple_]] = {}
-        for predicate, rows in delta_edb.items():
-            relation = self.store.relations.setdefault(predicate, set())
-            fresh = {tuple(row) for row in rows} - relation
-            if fresh:
-                self.store.add(predicate, fresh)
-                changed[predicate] = fresh
-
-        recompute_downstream = False
-        for plans, stratum in zip(self._plans_by_stratum, self.strata):
-            touches_change = any(
-                changed.get(literal.predicate)
-                for plan in plans
-                for literal in plan.rule.body
-            )
-            if not touches_change and not recompute_downstream:
-                continue
-            negated_hit = any(
-                literal.negated and changed.get(literal.predicate)
-                for plan in plans
-                for literal in plan.rule.body
-            )
-            if recompute_downstream or negated_hit:
-                old = {
-                    p: set(self.store.relations.get(p, ())) for p in stratum
-                }
-                for predicate in stratum:
-                    self.store.clear_predicate(predicate)
-                _run_stratum(plans, self.store, stratum)
-                for predicate in stratum:
-                    new = self.store.relations[predicate]
-                    fresh = new - old[predicate]
-                    retracted = old[predicate] - new
-                    if fresh:
-                        changed.setdefault(predicate, set()).update(fresh)
-                    if retracted:
-                        # A shrunken relation invalidates everything that
-                        # consumed it positively: recompute what follows.
-                        recompute_downstream = True
-                        changed.setdefault(predicate, set())
-            else:
-                derived = _run_stratum(
-                    plans, self.store, stratum, seed_delta=changed
-                )
-                for predicate, rows in derived.items():
-                    if rows:
-                        changed.setdefault(predicate, set()).update(rows)
-        return self.store.relations
-
-
-def evaluate_program(
-    program: Program, edb: Dict[str, Iterable[Tuple_]]
-) -> Database:
-    """Evaluate *program* bottom-up on the extensional database *edb*.
-
-    Returns the full materialization: every EDB and IDB predicate mapped
-    to its set of tuples.  Joins run through the lazily built hash
-    indexes; use :class:`DatalogState` to keep the result resumable under
-    EDB insertions.
-    """
-    return DatalogState.evaluate(program, edb).relations
 
 
 # ----------------------------------------------------------------------
@@ -536,21 +119,11 @@ class _CompactRule:
         "n_regs",
         "lits",
         "checks",
-        "body_preds",
-        "neg_preds",
     )
 
     def __init__(self, rule: Rule, intern_const) -> None:
         body = _reordered_body(rule)
         positives = [l for l in body if not l.negated and not l.is_builtin]
-        # Predicate sets the resume path consults: which strata a changed
-        # predicate touches, and whether it is read through negation.
-        self.body_preds = frozenset(
-            l.predicate for l in body if not l.is_builtin
-        )
-        self.neg_preds = frozenset(
-            l.predicate for l in body if l.negated
-        )
         registers: Dict[Variable, int] = {}
 
         self.lits: List[_LitAccess] = []
@@ -621,7 +194,10 @@ class _CompactRule:
 class _CompactStore:
     """Int-tuple relations plus lazily built, maintained join indexes.
 
-    The compact twin of :class:`RelationStore`: rows are tuples of
+    An index is keyed by ``(predicate, signature)`` where *signature* is
+    the tuple of bound argument positions; ``add`` keeps every live index
+    of the predicate current, so an index is built at most once per
+    evaluation however many semi-naive rounds run.  Rows are tuples of
     interned constant ids, and single-position signatures are keyed by
     the bare int instead of a 1-tuple (the dominant probe shape of the
     Claim 5 chain rules).
@@ -650,11 +226,6 @@ class _CompactStore:
                 for row in added:
                     key = tuple(row[p] for p in signature)
                     index.setdefault(key, []).append(row)
-
-    def clear_predicate(self, predicate: str) -> None:
-        self.relations[predicate] = set()
-        for key in [k for k in self._indexes if k[0] == predicate]:
-            del self._indexes[key]
 
     def lookup(
         self, predicate: str, signature: Tuple[int, ...], key
@@ -776,39 +347,20 @@ def _run_stratum_compact(
     plans: List[_CompactRule],
     store: _CompactStore,
     stratum: Set[str],
-    seed_delta: Optional[Dict[str, Set[Tuple_]]] = None,
-) -> Dict[str, Set[Tuple_]]:
+) -> None:
     """Semi-naive fixpoint of one stratum over the compact store.
 
-    Without *seed_delta* this is the usual round-0-plus-semi-naive loop.
-    With it (the :class:`CompactDatalogState` resume path), round 0 is
-    replaced by joining each rule against the seed deltas only -- the
-    compact twin of :func:`_run_stratum`'s re-entry.  Returns the tuples
-    the stratum derived.
+    Round 0 evaluates every rule against the full relations; each later
+    round joins one recursive body literal against the previous round's
+    delta, until no rule derives a fresh row.
     """
-    fresh_total: Dict[str, Set[Tuple_]] = {p: set() for p in stratum}
+    relations = store.relations
     delta: Dict[str, Set[Tuple_]] = {p: set() for p in stratum}
-    if seed_delta is None:
-        for plan in plans:
-            derived = _eval_rule_compact(plan, store)
-            fresh = derived - store.relations.get(plan.head_pred, _EMPTY_SET)
-            store.add(plan.head_pred, fresh)
-            delta[plan.head_pred] |= fresh
-    else:
-        for plan in plans:
-            body_predicates = {l.pred for l in plan.lits}
-            for predicate in body_predicates:
-                changed = seed_delta.get(predicate)
-                if not changed:
-                    continue
-                derived = _eval_rule_compact(plan, store, predicate, changed)
-                fresh = derived - store.relations.get(
-                    plan.head_pred, _EMPTY_SET
-                )
-                store.add(plan.head_pred, fresh)
-                delta[plan.head_pred] |= fresh
-    for predicate, rows in delta.items():
-        fresh_total[predicate] |= rows
+    for plan in plans:
+        derived = _eval_rule_compact(plan, store)
+        fresh = derived - relations.get(plan.head_pred, _EMPTY_SET)
+        store.add(plan.head_pred, fresh)
+        delta[plan.head_pred] |= fresh
 
     while any(delta.values()):
         next_delta: Dict[str, Set[Tuple_]] = {p: set() for p in stratum}
@@ -817,13 +369,10 @@ def _run_stratum_compact(
                 if not changed:
                     continue
                 derived = _eval_rule_compact(plan, store, predicate, changed)
-                fresh = derived - store.relations[plan.head_pred]
+                fresh = derived - relations[plan.head_pred]
                 store.add(plan.head_pred, fresh)
                 next_delta[plan.head_pred] |= fresh
         delta = next_delta
-        for predicate, rows in delta.items():
-            fresh_total[predicate] |= rows
-    return fresh_total
 
 
 class CompactProgram:
@@ -837,14 +386,11 @@ class CompactProgram:
     compiled form per :class:`~repro.datalog.syntax.Program`.
     """
 
-    __slots__ = ("program", "interner", "strata", "_plans_by_stratum")
+    __slots__ = ("program", "strata", "_plans_by_stratum")
 
-    def __init__(
-        self, program: Program, interner: Optional[Interner] = None
-    ) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
-        self.interner = interner if interner is not None else global_interner()
-        intern_const = self.interner.constant_id
+        intern_const = global_interner().constant_id
         self.strata = stratify(program)
         self._plans_by_stratum: List[List[_CompactRule]] = [
             [
@@ -862,168 +408,20 @@ class CompactProgram:
 
         *edb_int* maps EDB predicate names to rows of interned constant
         ids (``CompactInstance`` exports / ``interner.constant_id``).
-        Returns the full int-row materialization.  One-shot callers get
-        the same semi-naive machinery :meth:`state` keeps resumable.
+        Returns the full int-row materialization.
         """
-        return self.state(edb_int).relations
-
-    def state(
-        self, edb_int: Dict[str, Iterable[Tuple_]]
-    ) -> "CompactDatalogState":
-        """Evaluate and retain the materialization for ``resume``."""
-        return CompactDatalogState.evaluate(self, edb_int)
-
-
-class CompactDatalogState:
-    """A compact materialization kept alive for incremental re-solving.
-
-    The fast-plane twin of :class:`DatalogState`: retained int-tuple IDB
-    rows in a :class:`_CompactStore` (join indexes maintained on
-    insert), per-stratum delta frontiers on ``resume``, and the same
-    stratum skipping / negation recompute policy -- built once from a
-    memoized :class:`CompactProgram`, so re-entry pays no compilation
-    and O(affected) evaluation.  The object-level
-    :meth:`DatalogState.resume` is retained as the differential
-    baseline, exactly as PR 4 kept :func:`evaluate_program` for cold
-    evaluation (``tests/test_incremental.py`` compares the two under
-    random delta chains; ``benchmarks/test_bench_update_path.py`` gates
-    the speedup).
-
-    Rows are interned int tuples; callers holding object-level tuples
-    use :meth:`resume_decoded` / :meth:`decoded_relations`, which
-    convert through the program's interner at the boundary only.
-    """
-
-    __slots__ = ("compiled", "store")
-
-    def __init__(
-        self, compiled: CompactProgram, store: _CompactStore
-    ) -> None:
-        self.compiled = compiled
-        self.store = store
-
-    @property
-    def relations(self) -> Database:
-        """The int-row materialization (live, do not mutate)."""
-        return self.store.relations
-
-    @classmethod
-    def evaluate(
-        cls, compiled: CompactProgram, edb_int: Dict[str, Iterable[Tuple_]]
-    ) -> "CompactDatalogState":
-        """Full bottom-up evaluation; returns the resumable state."""
         relations: Database = {
             predicate: set(map(tuple, rows))
             for predicate, rows in edb_int.items()
         }
-        for predicate in compiled.program.idb_predicates():
+        for predicate in self.program.idb_predicates():
             relations.setdefault(predicate, set())
-        for predicate in compiled.program.edb_predicates():
+        for predicate in self.program.edb_predicates():
             relations.setdefault(predicate, set())
-        state = cls(compiled, _CompactStore(relations))
-        for plans, stratum in zip(
-            compiled._plans_by_stratum, compiled.strata
-        ):
-            _run_stratum_compact(plans, state.store, stratum)
-        return state
-
-    def resume(self, delta_edb_int: Dict[str, Iterable[Tuple_]]) -> Database:
-        """Fold inserted (already interned) EDB rows into the state.
-
-        Same contract as :meth:`DatalogState.resume`: strata untouched
-        by the delta are skipped, positively-touched strata re-run
-        semi-naive seeded with the changed rows, and strata reading a
-        changed predicate through negation -- plus everything downstream
-        of a retraction -- recompute from scratch.
-        """
-        store = self.store
-        changed: Dict[str, Set[Tuple_]] = {}
-        for predicate, rows in delta_edb_int.items():
-            relation = store.relations.setdefault(predicate, set())
-            fresh = {tuple(row) for row in rows} - relation
-            if fresh:
-                store.add(predicate, fresh)
-                changed[predicate] = fresh
-
-        compiled = self.compiled
-        recompute_downstream = False
-        for plans, stratum in zip(
-            compiled._plans_by_stratum, compiled.strata
-        ):
-            touches_change = any(
-                changed.get(predicate)
-                for plan in plans
-                for predicate in plan.body_preds
-            )
-            if not touches_change and not recompute_downstream:
-                continue
-            negated_hit = any(
-                changed.get(predicate)
-                for plan in plans
-                for predicate in plan.neg_preds
-            )
-            if recompute_downstream or negated_hit:
-                old = {
-                    p: set(store.relations.get(p, ())) for p in stratum
-                }
-                for predicate in stratum:
-                    store.clear_predicate(predicate)
-                _run_stratum_compact(plans, store, stratum)
-                for predicate in stratum:
-                    new = store.relations[predicate]
-                    fresh = new - old[predicate]
-                    retracted = old[predicate] - new
-                    if fresh:
-                        changed.setdefault(predicate, set()).update(fresh)
-                    if retracted:
-                        recompute_downstream = True
-                        changed.setdefault(predicate, set())
-            else:
-                derived = _run_stratum_compact(
-                    plans, store, stratum, seed_delta=changed
-                )
-                for predicate, rows in derived.items():
-                    if rows:
-                        changed.setdefault(predicate, set()).update(rows)
-        return store.relations
-
-    # ------------------------------------------------------------------
-    # Object-level boundary (interning in, decoding out)
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def evaluate_decoded(
-        cls, program: Program, edb: Dict[str, Iterable[Tuple_]]
-    ) -> "CompactDatalogState":
-        """Build a state from object-level EDB tuples."""
-        compiled = compact_program(program)
-        intern = compiled.interner.constant_id
-        edb_int = {
-            predicate: [tuple(intern(v) for v in row) for row in rows]
-            for predicate, rows in edb.items()
-        }
-        return cls.evaluate(compiled, edb_int)
-
-    def resume_decoded(
-        self, delta_edb: Dict[str, Iterable[Tuple_]]
-    ) -> Database:
-        """``resume`` for object-level delta tuples; decoded result."""
-        intern = self.compiled.interner.constant_id
-        self.resume(
-            {
-                predicate: [tuple(intern(v) for v in row) for row in rows]
-                for predicate, rows in delta_edb.items()
-            }
-        )
-        return self.decoded_relations()
-
-    def decoded_relations(self) -> Database:
-        """The materialization decoded back to object-level tuples."""
-        decode = self.compiled.interner.constant
-        return {
-            predicate: {tuple(decode(v) for v in row) for row in rows}
-            for predicate, rows in self.store.relations.items()
-        }
+        store = _CompactStore(relations)
+        for plans, stratum in zip(self._plans_by_stratum, self.strata):
+            _run_stratum_compact(plans, store, stratum)
+        return relations
 
 
 #: One compiled CompactProgram per Program object, dropped with it.
@@ -1040,21 +438,23 @@ def compact_program(program: Program) -> CompactProgram:
     return compiled
 
 
-def evaluate_program_compact(
+def evaluate_program(
     program: Program, edb: Dict[str, Iterable[Tuple_]]
 ) -> Database:
-    """Evaluate *program* on an object-level EDB via the compact engine.
+    """Evaluate *program* bottom-up on the extensional database *edb*.
 
-    Constants are interned on the way in and the materialization decoded
-    on the way out, so the result is directly comparable to
-    :func:`evaluate_program` (the differential tests do exactly that).
-    Callers holding pre-interned rows (the NL solver reading a
-    :class:`~repro.db.compact.CompactInstance`) should call
+    Returns the full materialization: every EDB and IDB predicate mapped
+    to its set of tuples.  Constants are interned on the way in and the
+    materialization decoded on the way out, so the result is directly
+    comparable to :func:`evaluate_program_naive` (the differential tests
+    do exactly that).  Callers holding pre-interned rows (the NL solver
+    reading a :class:`~repro.db.compact.CompactInstance`) should call
     :meth:`CompactProgram.evaluate` and skip both conversions.
     """
     compiled = compact_program(program)
-    intern = compiled.interner.constant_id
-    decode = compiled.interner.constant
+    interner = global_interner()
+    intern = interner.constant_id
+    decode = interner.constant
     edb_int = {
         predicate: [tuple(intern(v) for v in row) for row in rows]
         for predicate, rows in edb.items()
@@ -1067,8 +467,39 @@ def evaluate_program_compact(
 
 
 # ----------------------------------------------------------------------
-# The scan-and-unify baseline (pre-index engine, kept measurable)
+# The scan-and-unify reference
 # ----------------------------------------------------------------------
+
+
+def _match(
+    literal: Literal, row: Tuple_, bindings: Dict[Variable, Hashable]
+) -> Optional[Dict[Variable, Hashable]]:
+    """Unify *literal*'s args with *row* under *bindings*; new bindings or None."""
+    if len(literal.args) != len(row):
+        return None
+    new: Dict[Variable, Hashable] = {}
+    for arg, value in zip(literal.args, row):
+        if is_variable(arg):
+            bound = bindings.get(arg, new.get(arg))
+            if bound is None:
+                new[arg] = value
+            elif bound != value:
+                return None
+        elif arg != value:
+            return None
+    return new
+
+
+def _resolve_args(
+    literal: Literal, bindings: Dict[Variable, Hashable]
+) -> Tuple_:
+    values = []
+    for arg in literal.args:
+        if is_variable(arg):
+            values.append(bindings[arg])
+        else:
+            values.append(arg)
+    return tuple(values)
 
 
 def _evaluate_rule(
@@ -1079,9 +510,8 @@ def _evaluate_rule(
 ) -> Set[Tuple_]:
     """All head tuples derivable from *rule*, by scanning full relations.
 
-    The pre-index inner loop: every body literal enumerates its entire
-    relation and unifies row by row.  Kept as the baseline the indexed
-    engine is benchmarked against (``test_bench_nl.py``).
+    Every body literal enumerates its entire relation and unifies row by
+    row: no index and no compilation.
     """
     body = _reordered_body(rule)
     positives = [l for l in body if not l.negated and not l.is_builtin]
@@ -1142,7 +572,8 @@ def _evaluate_rule(
 def evaluate_program_naive(
     program: Program, edb: Dict[str, Iterable[Tuple_]]
 ) -> Database:
-    """The historical scan-and-unify evaluation (benchmark baseline)."""
+    """Scan-and-unify semi-naive evaluation: the reference
+    :func:`evaluate_program` is tested against."""
     relations: Database = {
         predicate: {tuple(row) for row in rows} for predicate, rows in edb.items()
     }

@@ -44,7 +44,7 @@ from array import array
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.db.facts import Fact
-from repro.db.interner import Interner, global_interner
+from repro.db.interner import global_interner
 
 _EMPTY: Tuple[int, ...] = ()
 
@@ -56,7 +56,6 @@ class CompactInstance:
     """An immutable integer-indexed view of one database instance."""
 
     __slots__ = (
-        "interner",
         "n",
         "consts",
         "local_of",
@@ -78,7 +77,6 @@ class CompactInstance:
     @classmethod
     def _assemble(
         cls,
-        interner: Interner,
         consts: List[Hashable],
         local_of: Dict[Hashable, int],
         gids: Optional["array"],
@@ -88,7 +86,6 @@ class CompactInstance:
         in_: Dict[str, List[Tuple[int, ...]]],
     ) -> "CompactInstance":
         view = cls.__new__(cls)
-        view.interner = interner
         view.n = len(consts)
         view.consts = consts
         view.local_of = local_of
@@ -107,7 +104,7 @@ class CompactInstance:
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(cls, db, interner: Optional[Interner] = None) -> "CompactInstance":
+    def build(cls, db) -> "CompactInstance":
         """Compile *db* (anything with ``facts`` / ``sorted_adom()``).
 
         >>> from repro.db.instance import DatabaseInstance
@@ -118,8 +115,6 @@ class CompactInstance:
         >>> sorted(view.consts[v] for v in view.out["R"][view.local_of[0]])
         [1, 2]
         """
-        if interner is None:
-            interner = global_interner()
         consts = list(db.sorted_adom())
         n = len(consts)
         local_of = {c: i for i, c in enumerate(consts)}
@@ -155,7 +150,7 @@ class CompactInstance:
                 for r in in_lists[relation]
             ]
         return cls._assemble(
-            interner, consts, local_of, None, alive, out, out_deg, in_
+            consts, local_of, None, alive, out, out_deg, in_
         )
 
     def patched(
@@ -181,7 +176,7 @@ class CompactInstance:
         local_of = dict(self.local_of)
         gids = None if self._gids is None else array("q", self._gids)
         alive = bytearray(self.alive)
-        interner = self.interner
+        interner = global_interner()
 
         delta_constants = set()
         for fact in added:
@@ -259,7 +254,7 @@ class CompactInstance:
             in_[relation] = in_rel
             out_deg[relation] = deg
         return CompactInstance._assemble(
-            interner, consts, local_of, gids, alive, out, out_deg, in_
+            consts, local_of, gids, alive, out, out_deg, in_
         )
 
     # ------------------------------------------------------------------
@@ -279,7 +274,7 @@ class CompactInstance:
         gids = self._gids
         if gids is None:
             gids = self._gids = array(
-                "q", map(self.interner.constant_id, self.consts)
+                "q", map(global_interner().constant_id, self.consts)
             )
         return gids
 

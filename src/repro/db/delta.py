@@ -307,6 +307,10 @@ class DeltaInstance:
     # Commit
     # ------------------------------------------------------------------
 
+    def compact(self):
+        """The compact view of :meth:`commit`'s instance (solvers read it)."""
+        return self.commit().compact()
+
     def commit(self) -> DatabaseInstance:
         """Freeze the overlay into a :class:`DatabaseInstance`.
 

@@ -136,14 +136,6 @@ class FixpointTables:
         return [tuple(v) for v in shorter]
 
 
-def _compact_of(db) -> Optional[CompactInstance]:
-    """The cached compact view of *db*, or None for plain overlays."""
-    builder = getattr(db, "compact", None)
-    if builder is None:
-        return None
-    return builder()
-
-
 def fixpoint_relation(
     db: DatabaseInstance,
     q: WordLike,
@@ -307,7 +299,6 @@ def fixpoint_bits(
     db,
     q: WordLike,
     tables: Optional[FixpointTables] = None,
-    compact: Optional[CompactInstance] = None,
 ) -> CompactNRelation:
     """The Figure 5 relation ``N``, computed by the compact kernel.
 
@@ -315,9 +306,7 @@ def fixpoint_bits(
     worklist of ``(const_lid, prefix_len)`` pairs encoded as single
     integers, with bitset membership, per-block countdown counters in
     one flat array, and a pre-scaled in-edge adjacency cached per
-    ``(instance, query)`` on the compact view.  *compact* may carry a
-    prebuilt view (kernels chained on the same instance reuse it);
-    otherwise ``db.compact()`` supplies the cached one.
+    ``(instance, query)`` on the cached view ``db.compact()``.
 
     >>> db = DatabaseInstance.from_triples(
     ...     [("R", 0, 1), ("R", 1, 2), ("R", 2, 3), ("R", 3, 4), ("X", 4, 5)])
@@ -326,10 +315,7 @@ def fixpoint_bits(
     True
     """
     q = Word.coerce(q)
-    if compact is None:
-        compact = _compact_of(db)
-        if compact is None:
-            compact = CompactInstance.build(db)
+    compact = db.compact()
     k = len(q)
     n = compact.n
     stride = k + 1
@@ -813,24 +799,15 @@ def certain_answer_fixpoint(
     *tables* and *is_c3* let compiled plans supply the per-query prefix
     tables and the (already classified) C3 status, so the per-instance
     call does no per-query work.  Runs the compact kernel
-    (:func:`fixpoint_bits`) whenever *db* carries a compact view
-    (``DatabaseInstance`` always does); plain overlays fall back to the
-    object-level baseline.
+    (:func:`fixpoint_bits`) over ``db.compact()``.
     """
     q = Word.coerce(q)
     if tables is None:
         tables = FixpointTables.build(q)
-    compact = _compact_of(db)
-    if compact is not None:
-        n_relation = fixpoint_bits(db, q, tables=tables, compact=compact)
-        starts = set(n_relation.start_constants())
-        return _result_from_relation(
-            db, q, tables, n_relation, require_c3, is_c3,
-            method="fixpoint", starts=starts,
-        )
-    n_relation = fixpoint_relation(db, q, tables=tables)
+    n_relation = fixpoint_bits(db, q, tables=tables)
     return _result_from_relation(
-        db, q, tables, n_relation, require_c3, is_c3, method="fixpoint"
+        db, q, tables, n_relation, require_c3, is_c3,
+        method="fixpoint", starts=set(n_relation.start_constants()),
     )
 
 
@@ -842,23 +819,14 @@ def _result_from_relation(
     require_c3: bool,
     is_c3: Optional[bool],
     method: str,
-    starts: Optional[Set[Hashable]] = None,
+    starts: Set[Hashable],
 ) -> CertaintyResult:
     """Shared answer construction for the fresh and incremental paths.
 
-    *n_relation* is any ``N`` view supporting ``len`` and pair
-    membership; *starts* may carry the witness set ``{c : (c, ε) ∈ N}``
-    (the compact kernel and the incremental state pass it), replacing
-    the domain scan.
+    *n_relation* is any ``N`` view supporting ``len``; *starts* is the
+    witness set ``{c : (c, ε) ∈ N}``.
     """
-    if starts is not None:
-        witness = min(starts, key=str) if starts else None
-    else:
-        witness = None
-        for c in db.sorted_adom():
-            if (c, 0) in n_relation:
-                witness = c
-                break
+    witness = min(starts, key=str) if starts else None
     details: Dict[str, object] = {"n_size": len(n_relation)}
     if witness is not None:
         if is_c3 is None:

@@ -17,13 +17,8 @@ from repro.datalog.cqa_program import (
     CqaProgram,
     UnsupportedQuery,
     instance_edb_compact,
-    instance_to_edb,
 )
-from repro.datalog.engine import (
-    CompactProgram,
-    compact_program,
-    evaluate_program,
-)
+from repro.datalog.engine import CompactProgram, compact_program
 from repro.db.instance import DatabaseInstance
 from repro.solvers.result import CertaintyResult, LazyMinimalRepair
 from repro.words.word import Word, WordLike
@@ -32,10 +27,10 @@ from repro.words.word import Word, WordLike
 def cached_program(q: WordLike) -> CqaProgram:
     """Fetch the Claim 5 program for *q* from the engine's plan cache.
 
-    Historically this module kept its own unbounded program dict; Claim 5
-    programs are now cached on the :class:`~repro.engine.plan.CompiledQuery`
-    plans of the process-wide engine, so there is a single cache with a
-    single (LRU) eviction policy for all per-query artifacts.
+    Claim 5 programs are cached on the
+    :class:`~repro.engine.plan.CompiledQuery` plans of the process-wide
+    engine: one cache with one (LRU) eviction policy for all per-query
+    artifacts.
 
     Raises :class:`~repro.datalog.cqa_program.UnsupportedQuery` when no
     language-verified decomposition exists.
@@ -60,10 +55,8 @@ def certain_answer_nl(
 
     *program* may carry the precompiled Claim 5 program for *q*, and
     *compiled* its compact-engine compilation (compiled plans pass both;
-    ad-hoc callers hit the module caches).  The evaluation runs on the
-    compact engine over the instance's interned EDB whenever *db*
-    carries a compact view (``DatabaseInstance`` always does); plain
-    overlays fall back to the object-level indexed engine.
+    ad-hoc callers hit the module caches).  The program runs on the
+    compact engine over the interned EDB of ``db.compact()``.
 
     >>> db = DatabaseInstance.from_triples(
     ...     [("R", 0, 1), ("R", 1, 2), ("R", 2, 3), ("R", 3, 4), ("X", 4, 5)])
@@ -72,33 +65,21 @@ def certain_answer_nl(
     """
     q = Word.coerce(q)
     cqa = program if program is not None else cached_program(q)
-    if getattr(db, "compact", None) is not None:
-        view = db.compact()
-        if compiled is None:
-            compiled = compact_program(cqa.program)
-        relations = compiled.evaluate(instance_edb_compact(view))
-        o_gids = {row[0] for row in relations.get("o", ())}
-        gids = view.gids
-        consts = view.consts
-        witnesses = sorted(
-            (
-                consts[lid]
-                for lid in view.alive_lids()
-                if gids[lid] not in o_gids
-            ),
-            key=str,
-        )
-        o_size = len(o_gids)
-    else:
-        edb = instance_to_edb(db)
-        relations = evaluate_program(cqa.program, edb)
-        o_constants = {row[0] for row in relations.get("o", ())}
-        witnesses = [c for c in db.sorted_adom() if c not in o_constants]
-        o_size = len(o_constants)
+    view = db.compact()
+    if compiled is None:
+        compiled = compact_program(cqa.program)
+    relations = compiled.evaluate(instance_edb_compact(view))
+    o_gids = {row[0] for row in relations.get("o", ())}
+    gids = view.gids
+    consts = view.consts
+    witnesses = sorted(
+        (consts[lid] for lid in view.alive_lids() if gids[lid] not in o_gids),
+        key=str,
+    )
     details = {
         "decomposition": str(cqa.parts),
         "program_rules": len(cqa.program),
-        "o_size": o_size,
+        "o_size": len(o_gids),
     }
     repair = None
     if not witnesses:

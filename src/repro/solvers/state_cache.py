@@ -1,10 +1,11 @@
 """A bounded, thread-safe LRU cache for maintained solver states.
 
-PR 2 introduced *maintainable* solver states -- the Figure 5
-:class:`~repro.solvers.fixpoint.FixpointState` and the semi-naive
-:class:`~repro.datalog.engine.DatalogState` -- whose value lies in being
-kept alive across calls: folding a delta into a warm state is O(delta)
-solver work, recomputing it from scratch is O(db).  Both the certainty
+The engine keeps *maintainable* solver states -- the Figure 5
+:class:`~repro.solvers.fixpoint.FixpointState`, the coNP route's
+:class:`~repro.solvers.sat_encoding.IncrementalSatContext` and the
+Section 8 :class:`~repro.solvers.generalized_solver.GeneralizedState`
+-- whose value lies in being kept alive across calls: folding a delta
+into a warm state is cheap, recomputing it from scratch is O(db).  Both the certainty
 engine (``solve_delta``) and the sharded serving layer
 (:mod:`repro.serving`) therefore need the same piece of machinery: a
 bounded mapping from ``(plan key, instance)`` to a live state, with LRU

@@ -11,10 +11,11 @@ representation:
 * :func:`~repro.solvers.fixpoint.fixpoint_bits` (compact kernel) ==
   :func:`~repro.solvers.fixpoint.fixpoint_relation` (object baseline)
   across all four Theorem 2 complexity classes and random instances;
-* :func:`~repro.datalog.engine.evaluate_program_compact` ==
-  :func:`~repro.datalog.engine.evaluate_program` on the Claim 5
-  programs and on handwritten programs with constants, builtins and
-  negation;
+* :func:`~repro.datalog.engine.evaluate_program` (the compact engine)
+  == :func:`~repro.datalog.engine.evaluate_program_naive` on the Claim 5
+  programs over planted and randomly grown instances, and on
+  handwritten programs with constants, builtins, and negation through
+  recursion;
 * ``solve_delta`` update sequences and direct
   :class:`~repro.solvers.fixpoint.FixpointState` maintenance on the
   compact representation (the compact view being patched along the
@@ -38,7 +39,7 @@ from repro.datalog.cqa_program import build_cqa_program, instance_to_edb
 from repro.datalog.engine import (
     compact_program,
     evaluate_program,
-    evaluate_program_compact,
+    evaluate_program_naive,
 )
 from repro.datalog.syntax import Literal, Program, Rule, var
 from repro.db.compact import CompactInstance
@@ -321,7 +322,96 @@ class TestCompactFixpointKernel:
         assert fixpoint_bits(empty, "RRX").to_set() == set()
 
 
+def _negation_program():
+    """A recursive program with ``neq``, negation and constants."""
+    x, y = var("X"), var("Y")
+    return Program(
+        [
+            Rule(Literal("base", (x,)), (Literal("e", (x, y)),)),
+            Rule(
+                Literal("p", (x, y)),
+                (
+                    Literal("e", (x, y)),
+                    Literal("neq", (x, "a")),
+                    Literal("e", (y, "c"), negated=True),
+                ),
+            ),
+            Rule(Literal("reach", (x, y)), (Literal("p", (x, y)),)),
+            Rule(
+                Literal("reach", (x, y)),
+                (Literal("reach", (x, "b")), Literal("p", ("b", y))),
+            ),
+        ]
+    )
+
+
+def _planted_prefix_cases(query):
+    """Claim 5 program on growing fact prefixes of planted instances."""
+    rng = random.Random(0xDA7A + sum(map(ord, query)))
+    program = build_cqa_program(query).program
+    for _trial in range(4):
+        db = planted_instance(
+            rng, query, 6, n_paths=2, n_noise_facts=8, conflict_rate=0.5
+        )
+        facts = sorted(db.facts)
+        for end in range(max(1, len(facts) - 4), len(facts) + 1):
+            yield program, instance_to_edb(DatabaseInstance(facts[:end]))
+
+
+def _random_insert_cases(query):
+    """Claim 5 program on random instances grown by random inserts
+    (fresh facts, duplicates and brand-new constants)."""
+    rng = random.Random(0xC0DE + sum(map(ord, query)))
+    program = build_cqa_program(query).program
+    alphabet = sorted(set(query))
+    for _trial in range(3):
+        facts = set(
+            random_instance(rng, 6, rng.randint(4, 16), alphabet, 0.5).facts
+        )
+        for _step in range(7):
+            yield program, instance_to_edb(DatabaseInstance(facts))
+            facts.update(
+                Fact(rng.choice(alphabet), rng.randint(0, 7), rng.randint(0, 7))
+                for _ in range(rng.randint(1, 3))
+            )
+
+
+def _negation_cases():
+    """Stratified negation through recursion over random EDBs."""
+    program = _negation_program()
+    rng = random.Random(0x9E6)
+    constants = "abcdefg"
+    for _trial in range(4):
+        edges = {
+            (rng.choice(constants), rng.choice(constants)) for _ in range(6)
+        }
+        for _step in range(9):
+            yield program, {"e": sorted(edges)}
+            edges.update(
+                (rng.choice(constants), rng.choice(constants))
+                for _ in range(rng.randint(1, 2))
+            )
+
+
+#: Differential inputs for the compact engine, by case name.
+DATALOG_CASES = {
+    "negation-recursion": _negation_cases,
+    **{
+        "planted-prefixes-" + q: (lambda q=q: _planted_prefix_cases(q))
+        for q in ("RRX", "RXRY", "UVUVWV")
+    },
+    **{
+        "random-inserts-" + q: (lambda q=q: _random_insert_cases(q))
+        for q, cls in CLASS_QUERIES
+        if cls == "NL-complete"
+    },
+}
+
+
 class TestCompactDatalog:
+    """:func:`evaluate_program` (the compact engine) against the
+    scan-and-unify :func:`evaluate_program_naive`."""
+
     @pytest.mark.parametrize("query", ["RRX", "RXRY", "UVUVWV"])
     def test_cqa_materializations_equal(self, query):
         rng = random.Random(len(query))
@@ -336,9 +426,16 @@ class TestCompactDatalog:
                 conflict_rate=0.4,
             )
             edb = instance_to_edb(db)
-            assert evaluate_program_compact(
+            assert evaluate_program(
                 cqa.program, edb
-            ) == evaluate_program(cqa.program, edb)
+            ) == evaluate_program_naive(cqa.program, edb)
+
+    @pytest.mark.parametrize("case", sorted(DATALOG_CASES))
+    def test_matches_naive(self, case):
+        for program, edb in DATALOG_CASES[case]():
+            assert evaluate_program(program, edb) == evaluate_program_naive(
+                program, edb
+            ), edb
 
     def test_constants_builtins_negation(self):
         x, y = var("X"), var("Y")
@@ -366,13 +463,28 @@ class TestCompactDatalog:
         edb = {
             "e": [("a", "b"), ("b", "c"), ("c", "a"), ("d", "d"), ("b", "b")]
         }
-        assert evaluate_program_compact(program, edb) == evaluate_program(
+        assert evaluate_program(program, edb) == evaluate_program_naive(
             program, edb
         )
 
     def test_compact_program_memoized(self):
         program = build_cqa_program("RRX").program
         assert compact_program(program) is compact_program(program)
+
+
+class TestOverlaySolves:
+    @pytest.mark.parametrize("method", ["fixpoint", "nl"])
+    def test_uncommitted_overlay_solves_like_its_commit(self, method):
+        base = chain_instance("RRX", repetitions=6, conflict_every=3)
+        engine = CertaintyEngine()
+        for fact in [("R", 0, 99), ("X", 2, 98)]:
+            overlay = Delta.inserting(fact).apply_to(base)
+            got = engine.solve(overlay, "RRX", method=method)
+            want = engine.solve(overlay.commit(), "RRX", method=method)
+            assert (got.answer, got.witness_constant) == (
+                want.answer,
+                want.witness_constant,
+            ), fact
 
 
 class TestSolveDeltaOnCompactPlane:

@@ -16,7 +16,11 @@ from repro.classification.generalized import (
     satisfies_d2,
     satisfies_d3,
 )
-from repro.datalog.engine import _evaluate_rule, evaluate_program
+from repro.datalog.engine import (
+    _evaluate_rule,
+    evaluate_program,
+    evaluate_program_naive,
+)
 from repro.datalog.stratify import is_linear, stratify
 from repro.datalog.syntax import Literal, Program, Rule, var
 from repro.datalog.cqa_program import build_cqa_program, split_query
@@ -46,7 +50,9 @@ class TestDConditionsDegenerate:
 
 
 class TestEngineAgainstNaive:
-    """The semi-naive engine must agree with naive bottom-up iteration."""
+    """The compact engine must agree with the scan-and-unify reference
+    :func:`evaluate_program_naive`, and both with plain (not semi-naive)
+    bottom-up iteration."""
 
     def _naive(self, program, edb):
         relations = {
@@ -96,12 +102,12 @@ class TestEngineAgainstNaive:
                 for _ in range(rng.randint(1, 10))
             ]
             edb = {"edge": edges}
-            semi = evaluate_program(program, edb)
-            naive = self._naive(program, edb)
-            assert semi == naive
+            reference = evaluate_program_naive(program, edb)
+            assert evaluate_program(program, edb) == reference
+            assert reference == self._naive(program, edb)
 
     def test_cqa_program_on_random_instances(self, rng):
-        """The generated Claim 5 program: semi-naive == naive."""
+        """The generated Claim 5 program: engine == reference == naive."""
         from repro.datalog.cqa_program import instance_to_edb
         from repro.workloads.generators import random_instance
 
@@ -109,7 +115,9 @@ class TestEngineAgainstNaive:
         for _ in range(10):
             db = random_instance(rng, 4, rng.randint(2, 10), ("R", "X"), 0.5)
             edb = instance_to_edb(db)
-            assert evaluate_program(program, edb) == self._naive(program, edb)
+            reference = evaluate_program_naive(program, edb)
+            assert evaluate_program(program, edb) == reference
+            assert reference == self._naive(program, edb)
 
 
 class TestExhaustiveProgramStructure:

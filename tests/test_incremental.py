@@ -1,15 +1,11 @@
 """The incremental execution layer: delta solves must equal from-scratch.
 
-Three levels are pinned differentially across randomized update
+Two levels are pinned differentially across randomized update
 sequences:
 
 * :class:`FixpointState` -- the maintained Figure 5 relation ``N`` must
   equal a fresh :func:`fixpoint_relation` run after every delta
   (inserts, removes, constants arriving/leaving the domain);
-* :class:`DatalogState.resume` -- the resumed materialization of the
-  Claim 5 programs must equal full re-evaluation under EDB insert
-  streams (positive strata reseed semi-naively; negation-reading strata
-  recompute);
 * ``CertaintyEngine.solve_delta`` -- answers must equal ``solve`` on the
   updated instance for queries from all four Theorem 2 complexity
   classes, including the C3-violating (coNP) fallback through the sound
@@ -20,19 +16,8 @@ import random
 
 import pytest
 
-from repro.datalog.cqa_program import (
-    ADOM,
-    UnsupportedQuery,
-    build_cqa_program,
-    instance_to_edb,
-    rel,
-)
-from repro.datalog.engine import (
-    CompactDatalogState,
-    DatalogState,
-    evaluate_program,
-    evaluate_program_naive,
-)
+from repro.datalog.cqa_program import build_cqa_program, instance_to_edb
+from repro.datalog.engine import evaluate_program, evaluate_program_naive
 from repro.db.delta import Delta, DeltaInstance
 from repro.db.facts import Fact
 from repro.db.instance import DatabaseInstance
@@ -49,7 +34,6 @@ from repro.solvers.sat_encoding import (
 )
 from repro.workloads.generators import (
     hardness_gadget_instance,
-    planted_instance,
     random_instance,
 )
 from repro.workloads.paper_instances import figure3_instance
@@ -153,33 +137,11 @@ class TestFixpointStateDifferential:
 
 
 class TestDatalogResume:
-    NL_QUERIES = ["RRX", "RXRY", "UVUVWV"]
+    """Claim 5 programs on random instances: :func:`evaluate_program`
+    equals the scan-and-unify reference (the Datalog evaluator keeps no
+    state across updates, so cold evaluation is all there is to pin)."""
 
-    @pytest.mark.parametrize("query", NL_QUERIES)
-    def test_resume_matches_full_evaluation(self, query):
-        rng = random.Random(0xDA7A + sum(map(ord, query)))
-        cqa = build_cqa_program(query)
-        for trial in range(4):
-            db = planted_instance(
-                rng, query, 6, n_paths=2, n_noise_facts=8, conflict_rate=0.5
-            )
-            facts = sorted(db.facts)
-            keep = max(1, len(facts) - 4)
-            base = DatabaseInstance(facts[:keep])
-            state = DatalogState.evaluate(cqa.program, instance_to_edb(base))
-            current = list(facts[:keep])
-            for fact in facts[keep:]:
-                current.append(fact)
-                delta = {
-                    rel(fact.relation): [(fact.key, fact.value)],
-                    ADOM: [(fact.key,), (fact.value,)],
-                }
-                resumed = state.resume(delta)
-                full = evaluate_program(
-                    cqa.program,
-                    instance_to_edb(DatabaseInstance(current)),
-                )
-                assert resumed == full, (query, trial, fact)
+    NL_QUERIES = ["RRX", "RXRY", "UVUVWV"]
 
     @pytest.mark.parametrize("query", NL_QUERIES)
     def test_indexed_equals_naive(self, query):
@@ -193,16 +155,6 @@ class TestDatalogResume:
             assert evaluate_program(cqa.program, edb) == (
                 evaluate_program_naive(cqa.program, edb)
             )
-
-    def test_resume_ignores_duplicate_tuples(self):
-        cqa = build_cqa_program("RRX")
-        db = DatabaseInstance.from_triples(
-            [("R", 0, 1), ("R", 1, 2), ("X", 2, 3)]
-        )
-        state = DatalogState.evaluate(cqa.program, instance_to_edb(db))
-        before = {p: set(rows) for p, rows in state.relations.items()}
-        state.resume({rel("R"): [(0, 1)], ADOM: [(0,)]})
-        assert {p: set(rows) for p, rows in state.relations.items()} == before
 
 
 class TestSolveDeltaDifferential:
@@ -375,129 +327,6 @@ class TestIncrementalSweep:
             result = engine.solve_delta(db, delta, query)
             db = delta.apply_to(db).commit()
             assert result.answer == reference.solve(db, query).answer
-
-
-def _normalized(relations):
-    """Relations as ``{predicate: set(rows)}`` with empty predicates
-    dropped (the two engines may differ on materializing empties)."""
-    return {
-        predicate: set(map(tuple, rows))
-        for predicate, rows in relations.items()
-        if rows
-    }
-
-
-class TestCompactResumeDifferential:
-    """The compact (int-tuple) resume path against the object engine.
-
-    The retained :class:`CompactDatalogState` materialization must track
-    :class:`DatalogState` exactly under random EDB insert streams (the
-    shared resume contract is insert-only) for queries from all four
-    Theorem 2 complexity classes.
-    """
-
-    @pytest.mark.parametrize("query,_cls", CLASS_QUERIES)
-    def test_resume_matches_object_engine(self, query, _cls):
-        try:
-            cqa = build_cqa_program(query)
-        except UnsupportedQuery:
-            pytest.skip("no Claim 5 program for {}".format(query))
-        rng = random.Random(0xC0DE + sum(map(ord, query)))
-        alphabet = sorted(set(query))
-        for trial in range(3):
-            db = random_instance(
-                rng, 6, rng.randint(4, 16), alphabet, 0.5
-            )
-            edb = instance_to_edb(db)
-            obj = DatalogState.evaluate(cqa.program, edb)
-            compact = CompactDatalogState.evaluate_decoded(cqa.program, edb)
-            assert _normalized(compact.decoded_relations()) == _normalized(
-                obj.relations
-            ), (query, trial)
-            for _step in range(6):
-                # Insert-only random delta: fresh facts, duplicates, and
-                # brand-new constants all ride the same resume call.
-                inserts = [
-                    Fact(
-                        rng.choice(alphabet),
-                        rng.randint(0, 7),
-                        rng.randint(0, 7),
-                    )
-                    for _ in range(rng.randint(1, 3))
-                ]
-                delta = {}
-                for fact in inserts:
-                    delta.setdefault(rel(fact.relation), []).append(
-                        (fact.key, fact.value)
-                    )
-                    delta.setdefault(ADOM, []).extend(
-                        [(fact.key,), (fact.value,)]
-                    )
-                resumed_obj = obj.resume(delta)
-                resumed_compact = compact.resume_decoded(delta)
-                assert _normalized(resumed_compact) == _normalized(
-                    resumed_obj
-                ), (query, trial, inserts)
-
-
-class TestCompactResumeNegationDifferential:
-    """Compact resume on a stratified program with negation and
-    constants: the recompute-downstream path must also track the object
-    engine under insert streams."""
-
-    def test_resume_with_negation_strata(self):
-        from repro.datalog.syntax import Literal, Program, Rule, var
-
-        x, y = var("X"), var("Y")
-        program = Program(
-            [
-                Rule(Literal("base", (x,)), (Literal("e", (x, y)),)),
-                Rule(
-                    Literal("p", (x, y)),
-                    (
-                        Literal("e", (x, y)),
-                        Literal("neq", (x, "a")),
-                        Literal("e", (y, "c"), negated=True),
-                    ),
-                ),
-                Rule(
-                    Literal("reach", (x, y)),
-                    (Literal("p", (x, y)),),
-                ),
-                Rule(
-                    Literal("reach", (x, y)),
-                    (Literal("reach", (x, "b")), Literal("p", ("b", y))),
-                ),
-            ]
-        )
-        rng = random.Random(0x9E6)
-        constants = "abcdefg"
-        for trial in range(4):
-            edb = {
-                "e": sorted(
-                    {
-                        (rng.choice(constants), rng.choice(constants))
-                        for _ in range(6)
-                    }
-                )
-            }
-            obj = DatalogState.evaluate(program, edb)
-            compact = CompactDatalogState.evaluate_decoded(program, edb)
-            assert _normalized(compact.decoded_relations()) == _normalized(
-                obj.relations
-            ), (trial, edb)
-            for _step in range(8):
-                delta = {
-                    "e": [
-                        (rng.choice(constants), rng.choice(constants))
-                        for _ in range(rng.randint(1, 2))
-                    ]
-                }
-                resumed_obj = obj.resume(delta)
-                resumed_compact = compact.resume_decoded(delta)
-                assert _normalized(resumed_compact) == _normalized(
-                    resumed_obj
-                ), (trial, delta)
 
 
 class TestIncrementalSatDifferential:
