@@ -25,18 +25,18 @@ micro-batches with a bounded added latency.
   per-shard warm/cold + transport-health counters via
   :meth:`AsyncCertaintyServer.stats`; graceful :meth:`close` fails
   still-queued requests with :class:`ServerClosed`.
-* :mod:`repro.serving.journal` -- the durable journal tier:
+* :mod:`repro.serving.journal` -- the durable journal tier: one
   :class:`JournalStore` records every registration and forwarded delta
-  per shard (:class:`MemoryJournalStore` for the in-process default,
-  :class:`SqliteJournalStore` for an append-only on-disk op log with
-  compaction, checksummed records and torn-tail recovery), so a
+  per shard, folded into a RAM view, over an optional log backend
+  (:class:`KVBackend`).  Without one it is the in-process default; over
+  :class:`MemoryKV`, :class:`FileKV` or :class:`SqliteKV` it appends
+  checksummed records with compaction and torn-tail recovery, so a
   reopened server cold-starts its shards from the log with zero client
-  re-registration.
+  re-registration (:class:`SqliteJournalStore` is the store bound to
+  one sqlite file).
 * :mod:`repro.serving.replication` -- the replicated journal tier:
-  :class:`KVJournalStore` journals over a minimal key-value interface
-  (:class:`MemoryKV` / :class:`FileKV`), and
   :class:`ReplicatedJournalStore` keeps one primary plus follower
-  replicas tailing its op log -- per-replica lag in ``health()``,
+  stores tailing its op log -- per-replica lag in ``health()``,
   promotion of the most-caught-up follower on primary failure
   (budgeted by a :class:`FailoverGuard`), and degraded reads answered
   from the freshest caught-up replica.
@@ -68,24 +68,21 @@ from repro.serving.faults import (
 )
 from repro.serving.journal import (
     CorruptRecord,
+    FileKV,
     JournalStore,
-    MemoryJournalStore,
+    KVBackend,
+    MemoryKV,
     ShardJournal,
     SqliteJournalStore,
+    SqliteKV,
     make_journal_store,
     pack_record,
     unpack_record,
 )
 from repro.serving.replication import (
-    FileKV,
     JournalFault,
     JournalUnavailable,
-    KVBackend,
-    KVJournalStore,
-    MemoryKV,
     ReplicatedJournalStore,
-    make_kv_journal_store,
-    make_replicated_journal_store,
 )
 from repro.serving.server import AsyncCertaintyServer
 from repro.serving.shard import (
@@ -127,8 +124,6 @@ __all__ = [
     "JournalStore",
     "JournalUnavailable",
     "KVBackend",
-    "KVJournalStore",
-    "MemoryJournalStore",
     "MemoryKV",
     "ProcessTransport",
     "ReplicatedJournalStore",
@@ -144,11 +139,10 @@ __all__ = [
     "ShardUnavailable",
     "ShardWorker",
     "SqliteJournalStore",
+    "SqliteKV",
     "ThreadTransport",
     "make_fault_plan",
     "make_journal_store",
-    "make_kv_journal_store",
-    "make_replicated_journal_store",
     "make_transport",
     "pack_record",
     "stable_shard",

@@ -1,33 +1,17 @@
-"""The replicated journal tier: kv backends, log shipping, and failover.
+"""The replicated journal tier: log shipping and failover.
 
-PR 6 cut the :class:`~repro.serving.journal.JournalStore` seam and PR 7
-made one store the safety net for supervised restarts and degraded
-reads -- but a single store is a single point of failure: one corrupt
-sqlite file or one dead primary and every durable resident is gone.
-This module is the step from "durable on one store" to "survives the
-store", in two layers:
-
-* :class:`KVJournalStore` -- a third backend that journals over a
-  **minimal key-value interface** (:class:`KVBackend`: get / set /
-  append / keys / delete).  Two implementations ship, neither adding a
-  dependency: :class:`MemoryKV` (a dict of byte strings) and
-  :class:`FileKV` (a directory of per-key files with atomic ``set``).
-  Remote stores -- redis, s3, a network block device -- slot in later by
-  implementing the same five methods.  The journal itself is one
-  append-only log per shard (key ``shard-N.log``) of checksummed,
-  length-prefixed records (:func:`~repro.serving.journal.pack_record`),
-  so a torn tail is detected and truncated on replay exactly as in the
-  sqlite backend.
-
-* :class:`ReplicatedJournalStore` -- one **primary** plus N
-  **followers**, each any journal store (memory, sqlite, kv, mixed).
-  Every committed primary write is recorded in an in-RAM op log and
-  **shipped** to the followers in batches of *ship_every* ops; a
-  follower therefore warms by tailing the primary's op log, and
-  ``health()`` reports each replica's **lag** (committed seqs it has
-  not yet applied).  Shipping reuses the stores' own idempotent-append
-  contract: a redelivered op is dropped by the follower's sequence
-  guard, so tailing is safe under at-least-once delivery.
+A single journal store is a single point of failure: one corrupt sqlite
+file or one dead primary and every durable resident is gone.
+:class:`ReplicatedJournalStore` survives the store.  It composes one
+**primary** plus N **followers**, each any
+:class:`~repro.serving.journal.JournalStore` (memory, sqlite, kv,
+mixed).  Every committed primary write is recorded in an in-RAM op log
+and **shipped** to the followers in batches of *ship_every* ops; a
+follower therefore warms by tailing the primary's op log, and
+``health()`` reports each replica's **lag** (committed seqs it has not
+yet applied).  Shipping reuses the stores' own idempotent-append
+contract: a redelivered op is dropped by the follower's sequence guard,
+so tailing is safe under at-least-once delivery.
 
 **Failover.**  When a primary write raises -- a real fault, or one
 injected through the journal-fault kinds of
@@ -47,17 +31,7 @@ answer.
 
 >>> from repro.db.instance import DatabaseInstance
 >>> db = DatabaseInstance.from_triples([("R", 0, 1)])
->>> kv = KVJournalStore(MemoryKV())
->>> kv.register(0, "toy", db, seq=1)
->>> reopened = KVJournalStore(kv.backend)      # replay from the same kv
->>> sorted(reopened.residents(0)), reopened.last_seq(0)
-(['toy'], 1)
->>> kv.tear(0)                                 # crash mid-append
->>> torn = KVJournalStore(kv.backend)
->>> torn.health()["truncated_ops"], torn.last_seq(0)
-(1, 1)
-
->>> store = make_replicated_journal_store("memory;memory,memory")
+>>> store = ReplicatedJournalStore("memory", ("memory", "memory"))
 >>> store.register(0, "toy", db, seq=1)
 >>> store.flush()                              # ship the op log
 >>> store.health()["replication"]["replicas"]
@@ -73,21 +47,12 @@ True
 
 from __future__ import annotations
 
-import os
-import pickle
 import threading
 import time
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.serving.faults import FaultPlan, make_fault_plan
-from repro.serving.journal import (
-    _FRAME,
-    JOURNAL_STORES,
-    JournalStore,
-    make_journal_store,
-    pack_record,
-    unpack_record,
-)
+from repro.serving.journal import JournalStore, make_journal_store
 from repro.serving.supervision import FailoverGuard, RestartPolicy
 
 
@@ -99,336 +64,15 @@ class JournalUnavailable(RuntimeError):
     """The primary failed and no follower could be promoted."""
 
 
-# ---------------------------------------------------------------------------
-# The minimal kv interface and its two built-in implementations.
-# ---------------------------------------------------------------------------
-
-
-class KVBackend:
-    """The five-method contract :class:`KVJournalStore` journals over.
-
-    Values are byte strings; keys are short names (``shard-0.log``).
-    ``get`` returns ``None`` for a missing key; ``append`` creates the
-    key when absent.  Implementations must be safe to call from
-    concurrent shard-worker threads.
-    """
-
-    #: Short name surfaced in ``health()["backend"]``.
-    kind = "abstract"
-
-    def get(self, key: str) -> Optional[bytes]:
-        raise NotImplementedError
-
-    def set(self, key: str, data: bytes) -> None:
-        raise NotImplementedError
-
-    def append(self, key: str, data: bytes) -> None:
-        raise NotImplementedError
-
-    def keys(self) -> List[str]:
-        raise NotImplementedError
-
-    def delete(self, key: str) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-
-class MemoryKV(KVBackend):
-    """The kv contract over a dict of bytearrays (no durability)."""
-
-    kind = "memory"
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._data: Dict[str, bytearray] = {}
-
-    def get(self, key):
-        with self._lock:
-            value = self._data.get(key)
-            return bytes(value) if value is not None else None
-
-    def set(self, key, data):
-        with self._lock:
-            self._data[key] = bytearray(data)
-
-    def append(self, key, data):
-        with self._lock:
-            self._data.setdefault(key, bytearray()).extend(data)
-
-    def keys(self):
-        with self._lock:
-            return sorted(self._data)
-
-    def delete(self, key):
-        with self._lock:
-            self._data.pop(key, None)
-
-
-class FileKV(KVBackend):
-    """The kv contract over a directory of per-key files.
-
-    ``set`` is atomic (write to a temp file, then :func:`os.replace`),
-    so a crash mid-``set`` leaves the old value intact; ``append`` is a
-    plain ``"ab"`` write, so a crash mid-``append`` leaves a torn tail
-    -- exactly the failure :func:`~repro.serving.journal.unpack_record`
-    detects on replay.
-    """
-
-    kind = "file"
-
-    def __init__(self, root) -> None:
-        self.root = str(root)
-        os.makedirs(self.root, exist_ok=True)
-        self._lock = threading.Lock()
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key)
-
-    def get(self, key):
-        try:
-            with open(self._path(key), "rb") as handle:
-                return handle.read()
-        except FileNotFoundError:
-            return None
-
-    def set(self, key, data):
-        with self._lock:
-            tmp = self._path(key) + ".tmp"
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, self._path(key))
-
-    def append(self, key, data):
-        with self._lock:
-            with open(self._path(key), "ab") as handle:
-                handle.write(data)
-
-    def keys(self):
-        return sorted(
-            name
-            for name in os.listdir(self.root)
-            if not name.endswith(".tmp")
-        )
-
-    def delete(self, key):
-        try:
-            os.remove(self._path(key))
-        except FileNotFoundError:
-            pass
-
-
-# ---------------------------------------------------------------------------
-# The kv-backed journal store.
-# ---------------------------------------------------------------------------
-
-
-class KVJournalStore(JournalStore):
-    """A journal store over a :class:`KVBackend`: one log per shard.
-
-    Key ``shard-N.log`` holds shard *N*'s op log -- concatenated framed
-    records (:func:`~repro.serving.journal.pack_record`), each framing a
-    pickled ``(seq, name, kind, obj)`` tuple with the same three kinds
-    as the sqlite log (``snapshot`` / ``delta`` / ``seal``).  Replay
-    folds each log front to back into the RAM view; the first record
-    that fails its checksum or frame truncates the log there (the
-    intact prefix is written back with ``set``) and counts one
-    ``truncated_ops`` -- a byte stream cannot enumerate what the torn
-    tail destroyed, so the count is a floor.  After *compact_every*
-    delta records against one resident the shard's log is rewritten as
-    one snapshot record per resident, stamped with the shard's
-    high-water sequence.
-    """
-
-    kind = "kv"
-
-    def __init__(self, backend: KVBackend, compact_every: int = 64) -> None:
-        if compact_every < 1:
-            raise ValueError("compact_every must be >= 1")
-        self.backend = backend
-        self.compact_every = compact_every
-        self._lock = threading.RLock()
-        self._snapshots: Dict[int, Dict[str, object]] = {}
-        self._seqs: Dict[int, int] = {}
-        self._pending: Dict[tuple, int] = {}
-        self._rows: Dict[int, int] = {}
-        self._ops = 0
-        self._compactions = 0
-        self._truncated_ops = 0
-        self._replay()
-
-    @staticmethod
-    def _key(shard_id: int) -> str:
-        return "shard-{}.log".format(shard_id)
-
-    def _replay(self) -> None:
-        for key in self.backend.keys():
-            if not key.startswith("shard-") or not key.endswith(".log"):
-                continue
-            try:
-                shard_id = int(key[len("shard-"):-len(".log")])
-            except ValueError:
-                continue
-            buffer = self.backend.get(key) or b""
-            shard = self._snapshots.setdefault(shard_id, {})
-            offset = 0
-            while offset < len(buffer):
-                try:
-                    data, end = unpack_record(buffer, offset)
-                    seq, name, kind, obj = pickle.loads(data)
-                except Exception:
-                    # Torn tail: keep the intact prefix, drop the rest.
-                    self.backend.set(key, buffer[:offset])
-                    self._truncated_ops += 1
-                    break
-                if kind == "snapshot":
-                    shard[name] = obj
-                    self._pending[(shard_id, name)] = 0
-                elif kind == "delta":
-                    shard[name] = obj.apply_to(shard[name]).commit()
-                    pkey = (shard_id, name)
-                    self._pending[pkey] = self._pending.get(pkey, 0) + 1
-                # kind == "seal": only the seq bump below.
-                if seq > self._seqs.get(shard_id, 0):
-                    self._seqs[shard_id] = seq
-                self._rows[shard_id] = self._rows.get(shard_id, 0) + 1
-                offset = end
-
-    def _append(self, shard_id, seq, name, kind, obj) -> None:
-        data = pickle.dumps(
-            (seq, name, kind, obj), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        self.backend.append(self._key(shard_id), pack_record(data))
-        self._rows[shard_id] = self._rows.get(shard_id, 0) + 1
-
-    def _bump(self, shard_id: int, seq: int) -> None:
-        self._ops += 1
-        if seq > self._seqs.get(shard_id, 0):
-            self._seqs[shard_id] = seq
-
-    # -- writes --------------------------------------------------------
-
-    def register(self, shard_id, name, db, seq=0):
-        with self._lock:
-            if seq and seq <= self._seqs.get(shard_id, 0):
-                return
-            self._append(shard_id, seq, name, "snapshot", db)
-            self._snapshots.setdefault(shard_id, {})[name] = db
-            self._pending[(shard_id, name)] = 0
-            self._bump(shard_id, seq)
-
-    def delta(self, shard_id, name, delta, seq=0):
-        with self._lock:
-            if seq and seq <= self._seqs.get(shard_id, 0):
-                return
-            base = self._snapshots.get(shard_id, {}).get(name)
-            if base is None:
-                raise KeyError(
-                    "shard {} journal has no resident {!r}".format(
-                        shard_id, name
-                    )
-                )
-            self._append(shard_id, seq, name, "delta", delta)
-            self._snapshots[shard_id][name] = delta.apply_to(base).commit()
-            self._bump(shard_id, seq)
-            key = (shard_id, name)
-            self._pending[key] = self._pending.get(key, 0) + 1
-            if self._pending[key] >= self.compact_every:
-                self._compact_shard(shard_id)
-
-    def seal(self, shard_id, seq):
-        with self._lock:
-            if seq <= self._seqs.get(shard_id, 0):
-                return
-            self._append(shard_id, seq, "", "seal", None)
-            self._seqs[shard_id] = seq
-
-    # -- reads ---------------------------------------------------------
-
-    def get(self, shard_id, name):
-        with self._lock:
-            return self._snapshots.get(shard_id, {}).get(name)
-
-    def residents(self, shard_id):
-        with self._lock:
-            return dict(self._snapshots.get(shard_id, {}))
-
-    def last_seq(self, shard_id):
-        with self._lock:
-            return self._seqs.get(shard_id, 0)
-
-    def placements(self):
-        with self._lock:
-            return {
-                name: shard_id
-                for shard_id, shard in sorted(self._snapshots.items())
-                for name in shard
-            }
-
-    # -- maintenance ---------------------------------------------------
-
-    def _compact_shard(self, shard_id: int) -> None:
-        """Rewrite the shard's log as one stamped snapshot per resident."""
-        seq = self._seqs.get(shard_id, 0)
-        frames = []
-        for name, db in self._snapshots.get(shard_id, {}).items():
-            frames.append(
-                pack_record(
-                    pickle.dumps(
-                        (seq, name, "snapshot", db),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                )
-            )
-        self.backend.set(self._key(shard_id), b"".join(frames))
-        self._rows[shard_id] = len(frames)
-        for key in list(self._pending):
-            if key[0] == shard_id:
-                self._pending[key] = 0
-        self._compactions += 1
-
-    def compact(self, shard_id=None):
-        with self._lock:
-            targets = [
-                key
-                for key, pending in self._pending.items()
-                if pending > 0 and (shard_id is None or key[0] == shard_id)
-            ]
-            for sid in sorted({key[0] for key in targets}):
-                self._compact_shard(sid)
-            return len(targets)
-
-    def close(self):
-        self.backend.close()
-
-    def tear(self, shard_id=0):
-        """Append a record that fails its checksum (chaos hook): the
-        next replay of this backend exercises torn-tail recovery."""
-        with self._lock:
-            self.backend.append(
-                self._key(shard_id), _FRAME.pack(2 ** 20, 0) + b"torn"
-            )
-
-    def health(self):
-        with self._lock:
-            return {
-                "store": self.kind,
-                "backend": self.backend.kind,
-                "residents": sum(
-                    len(shard) for shard in self._snapshots.values()
-                ),
-                "shards": len(self._snapshots),
-                "ops": self._ops,
-                "log_rows": sum(self._rows.values()),
-                "compactions": self._compactions,
-                "truncated_ops": self._truncated_ops,
-            }
-
-
-# ---------------------------------------------------------------------------
-# The replicated store: primary + followers, log shipping, failover.
-# ---------------------------------------------------------------------------
+def _apply_op(store: JournalStore, shard_id: int, op: tuple) -> None:
+    """Apply one op-log entry ``(seq, name, kind, obj)`` to *store*."""
+    seq, name, kind, obj = op
+    if kind == "register":
+        store.register(shard_id, name, obj, seq)
+    elif kind == "delta":
+        store.delta(shard_id, name, obj, seq)
+    else:  # "seal"
+        store.seal(shard_id, seq)
 
 
 class ReplicatedJournalStore(JournalStore):
@@ -447,7 +91,7 @@ class ReplicatedJournalStore(JournalStore):
     (:meth:`get` / :meth:`residents` / :meth:`last_seq` /
     :meth:`placements`) do the same, so a dead primary is transparent
     to the serving layer while any follower survives.
-    :meth:`read_snapshot` -- the PR 7 degraded-read path -- instead
+    :meth:`read_snapshot` -- the degraded-read path -- instead
     falls back to the **freshest caught-up replica** without promoting.
 
     A :class:`~repro.serving.supervision.FailoverGuard` budgets
@@ -486,7 +130,6 @@ class ReplicatedJournalStore(JournalStore):
         #: Per follower: shard -> absolute index consumed.
         self._cursors: List[Dict[int, int]] = [{} for _ in self.followers]
         self._shards = set(self.primary.placements().values())
-        self._ops = 0
         self._unshipped = 0
         self._failovers = 0
         self._followers_lost = 0
@@ -508,8 +151,8 @@ class ReplicatedJournalStore(JournalStore):
         Registrations go **unstamped** (stamping several with the same
         seq would trip the follower's redelivery guard after the first)
         and one :meth:`~repro.serving.journal.JournalStore.seal` jumps
-        the follower's high-water to the primary's -- the PR 6
-        consistent replay point.
+        the follower's high-water to the primary's, the point its
+        snapshots are consistent with.
         """
         for shard_id in sorted(self._shards):
             for name, db in self.primary.residents(shard_id).items():
@@ -546,13 +189,8 @@ class ReplicatedJournalStore(JournalStore):
         for shard_id, ops in self._oplog.items():
             base = self._bases.get(shard_id, 0)
             start = max(cursor.get(shard_id, 0) - base, 0)
-            for seq, name, kind, obj in ops[start:]:
-                if kind == "register":
-                    follower.register(shard_id, name, obj, seq)
-                elif kind == "delta":
-                    follower.delta(shard_id, name, obj, seq)
-                else:  # "seal"
-                    follower.seal(shard_id, seq)
+            for op in ops[start:]:
+                _apply_op(follower, shard_id, op)
             cursor[shard_id] = base + len(ops)
 
     def _ship(self) -> None:
@@ -641,6 +279,7 @@ class ReplicatedJournalStore(JournalStore):
     def _apply(self, kind, shard_id, name, obj, seq) -> None:
         with self._lock:
             self._shards.add(shard_id)
+            op = (seq, name, kind, obj)
             pending = (
                 self._faults.draw(shard_id, [kind]) if self._faults else []
             )
@@ -649,12 +288,7 @@ class ReplicatedJournalStore(JournalStore):
                     if pending:
                         actions, pending = pending, []
                         self._inject(actions, shard_id)
-                    if kind == "register":
-                        self.primary.register(shard_id, name, obj, seq)
-                    elif kind == "delta":
-                        self.primary.delta(shard_id, name, obj, seq)
-                    else:  # "seal"
-                        self.primary.seal(shard_id, seq)
+                    _apply_op(self.primary, shard_id, op)
                 except KeyError:
                     # Unknown resident is the caller's bug, not a store
                     # failure -- surfacing it must not burn a replica.
@@ -663,11 +297,7 @@ class ReplicatedJournalStore(JournalStore):
                     self._failover(exc)
                     continue
                 break
-            self._oplog.setdefault(shard_id, []).append(
-                (seq, name, kind, obj)
-            )
-            self._bases.setdefault(shard_id, 0)
-            self._ops += 1
+            self._oplog.setdefault(shard_id, []).append(op)
             self._unshipped += 1
             if self._unshipped >= self.ship_every:
                 self._ship()
@@ -781,45 +411,3 @@ class ReplicatedJournalStore(JournalStore):
                 "replicas": replicas,
             }
             return merged
-
-
-# ---------------------------------------------------------------------------
-# Spec-string factories (the ``kv:`` / ``replicated:`` grammar arms).
-# ---------------------------------------------------------------------------
-
-
-def make_kv_journal_store(spec: str) -> KVJournalStore:
-    """Resolve the tail of a ``kv:`` spec: ``memory`` or a directory.
-
-    >>> make_kv_journal_store("memory").backend.kind
-    'memory'
-    """
-    if not spec:
-        raise ValueError(
-            "kv journal spec needs a backend: kv:memory | kv:DIR"
-        )
-    if spec == "memory":
-        return KVJournalStore(MemoryKV())
-    return KVJournalStore(FileKV(spec))
-
-
-def make_replicated_journal_store(spec: str) -> ReplicatedJournalStore:
-    """Resolve the tail of a ``replicated:`` spec:
-    ``PRIMARY;FOLLOWER[,FOLLOWER...]`` -- each side any journal spec.
-
-    >>> store = make_replicated_journal_store("memory;memory")
-    >>> store.kind, store.primary.kind, len(store.followers)
-    ('replicated', 'memory', 1)
-    """
-    primary, sep, tail = spec.partition(";")
-    followers = [part.strip() for part in tail.split(",") if part.strip()]
-    if not primary.strip() or not sep or not followers:
-        raise ValueError(
-            "replicated journal spec needs a primary and at least one "
-            "follower: replicated:PRIMARY;FOLLOWER[,FOLLOWER...]"
-        )
-    return ReplicatedJournalStore(primary.strip(), tuple(followers))
-
-
-JOURNAL_STORES["kv"] = KVJournalStore
-JOURNAL_STORES["replicated"] = ReplicatedJournalStore

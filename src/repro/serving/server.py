@@ -63,13 +63,13 @@ class AsyncCertaintyServer:
     identical either way.
 
     *journal_store* makes residents durable (see
-    :mod:`repro.serving.journal`): ``None`` (default) keeps the PR 5
-    in-memory behavior, ``"memory"`` shares one
-    :class:`~repro.serving.journal.MemoryJournalStore` across shards,
+    :mod:`repro.serving.journal`): ``None`` (default) gives each
+    transport a private in-memory journal, ``"memory"`` shares one
+    RAM-only :class:`~repro.serving.journal.JournalStore` across shards,
     and ``"sqlite:PATH"`` (or a
     :class:`~repro.serving.journal.SqliteJournalStore` instance) logs
-    every registration and delta to disk.  ``"kv:..."`` journals over
-    the minimal key-value interface and
+    every registration and delta to disk.  ``"kv:..."`` journals to a
+    :class:`~repro.serving.journal.KVBackend` and
     ``"replicated:PRIMARY;FOLLOWER,..."`` adds read replicas tailing
     the primary's op log with promotion on primary failure (see
     :mod:`repro.serving.replication`).  A server opened on a non-empty

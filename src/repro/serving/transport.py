@@ -110,7 +110,7 @@ from repro.db.facts import Fact
 from repro.db.instance import Block, DatabaseInstance
 from repro.engine.engine import CertaintyEngine, EngineStats
 from repro.serving.faults import make_fault_plan
-from repro.serving.journal import MemoryJournalStore, ShardJournal
+from repro.serving.journal import JournalStore, ShardJournal
 from repro.serving.shard import (
     EMPTY_DELTA,
     ShardCore,
@@ -324,7 +324,7 @@ class ThreadTransport(ShardTransport):
             # Chaos needs a replay source: an emulated crash discards
             # the core and rebuilds it from the journal, exactly as the
             # process transport restores a dead child.
-            journal = MemoryJournalStore().shard(shard_id)
+            journal = JournalStore().shard(shard_id)
         self.journal = journal
         self.core = ShardCore(shard_id, engine_factory=engine_factory)
         self.restarts = 0
@@ -682,7 +682,7 @@ class ProcessTransport(ShardTransport):
         self.journal = (
             journal
             if journal is not None
-            else MemoryJournalStore().shard(shard_id)
+            else JournalStore().shard(shard_id)
         )
         #: Per-shard write sequence counter; resumes from the journal's
         #: high-water so fresh writes on a reopened log are never

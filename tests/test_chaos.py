@@ -24,7 +24,7 @@ from repro.serving import (
     DeadlineExceeded,
     FaultPlan,
     FaultRule,
-    MemoryJournalStore,
+    JournalStore,
     RestartPolicy,
     ServerOverloaded,
     ShardRequest,
@@ -65,7 +65,7 @@ class TestScriptedSchedule:
                 FaultRule("dup", batch=5, times=1),    # deliver twice
             ]
         )
-        store = MemoryJournalStore()
+        store = JournalStore()
         worker = ShardWorker(
             0,
             transport=transport,
@@ -155,7 +155,7 @@ class TestBreakerLifecycle:
         plan = FaultPlan(
             [FaultRule("crash", batch=1), FaultRule("crash", batch=2)]
         )
-        store = MemoryJournalStore()
+        store = JournalStore()
         worker = ShardWorker(
             0,
             transport=transport,

@@ -10,27 +10,36 @@ changing it, and torn-tail recovery truncates a damaged log at the
 first bad record while counting the loss.
 """
 
+import os
+import pickle
 import sqlite3
+import tempfile
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.db.delta import Delta
 from repro.db.facts import Fact
 from repro.db.instance import DatabaseInstance
 from repro.serving.journal import (
     SPEC_GRAMMAR,
-    JournalStore,
-    MemoryJournalStore,
-    SqliteJournalStore,
-    make_journal_store,
-)
-from repro.serving.replication import (
     FileKV,
-    KVJournalStore,
+    JournalStore,
     MemoryKV,
-    ReplicatedJournalStore,
+    SqliteJournalStore,
+    SqliteKV,
+    make_journal_store,
+    pack_record,
 )
+from repro.serving.replication import ReplicatedJournalStore
+
+
+#: The one ``health()`` schema every store reports.
+HEALTH_KEYS = {
+    "store", "backend", "path", "residents", "shards", "ops",
+    "log_rows", "compactions", "truncated_ops",
+}
 
 
 def _db(*triples):
@@ -49,15 +58,15 @@ def _delta(inserts=(), removes=()):
 )
 def store(request, tmp_path):
     if request.param == "memory":
-        yield MemoryJournalStore()
+        yield JournalStore()
     elif request.param == "sqlite":
         s = SqliteJournalStore(tmp_path / "journal.db")
         yield s
         s.close()
     elif request.param == "kv-memory":
-        yield KVJournalStore(MemoryKV())
+        yield JournalStore(MemoryKV())
     elif request.param == "kv-file":
-        s = KVJournalStore(FileKV(tmp_path / "kv"))
+        s = JournalStore(FileKV(tmp_path / "kv"))
         yield s
         s.close()
     else:
@@ -193,6 +202,8 @@ class TestJournalContract:
         assert health["store"] == store.kind
         assert health["residents"] == 1
         assert health["ops"] >= 1
+        # One schema for every store; the replicated one adds a section.
+        assert set(health) - {"replication"} == HEALTH_KEYS
 
 
 class TestSqliteDurability:
@@ -366,17 +377,377 @@ class TestTornTailRecovery:
             store.close()
 
 
+class TestDurableBackends:
+    """The one store over each durable log backend."""
+
+    @pytest.fixture(params=["memory", "file", "sqlite"])
+    def reopen(self, request, tmp_path):
+        """Open a store on one log; every call reopens the same log."""
+        shared = MemoryKV()
+        backends = {
+            "memory": lambda: shared,
+            "file": lambda: FileKV(tmp_path / "kv"),
+            "sqlite": lambda: SqliteKV(tmp_path / "journal.db"),
+        }
+        opened = []
+
+        def open_store(compact_every=64):
+            store = JournalStore(backends[request.param](), compact_every)
+            opened.append(store)
+            return store
+
+        yield open_store
+        for store in opened:
+            store.close()
+
+    def test_reregistration_compacts(self, reopen):
+        # A registration supersedes the name's earlier record, so it
+        # counts toward compaction like a delta does.
+        store = reopen(compact_every=4)
+        for i in range(100):
+            store.register(0, "toy", _db(("R", i, i + 1)), seq=i + 1)
+            assert store.health()["log_rows"] <= 4
+        assert store.health()["compactions"] > 0
+        store.close()
+        reopened = reopen()
+        assert reopened.get(0, "toy") == _db(("R", 99, 100))
+        assert reopened.last_seq(0) == 100
+        assert reopened.health()["truncated_ops"] == 0
+
+    def test_reregistration_keeps_log_bytes_bounded(self, reopen):
+        # Re-registering big snapshots compacts on their bytes long
+        # before the default compact_every re-registrations pile up.
+        big = _db(*[("R", i, i + 1) for i in range(3000)])
+        store = reopen()
+        for seq, name in enumerate(("a", "b"), start=1):
+            store.register(0, name, big, seq=seq)
+        one_each = len(store.backend.get("shard-0.log"))
+        for _ in range(20):
+            for name in ("a", "b"):
+                store.register(0, name, big)  # unstamped, as a resync
+                assert len(store.backend.get("shard-0.log")) <= 3 * one_each
+        assert store.health()["compactions"] > 0
+        store.close()
+        reopened = reopen()
+        assert reopened.residents(0) == {"a": big, "b": big}
+        assert reopened.last_seq(0) == 2
+
+    def test_follower_resync_keeps_log_bytes_bounded(self, tmp_path):
+        # Each open of a replicated store re-registers every resident on
+        # its followers: a sqlite follower's log must not grow per open.
+        spec = "replicated:sqlite:{};sqlite:{}".format(
+            tmp_path / "p.db", tmp_path / "f.db"
+        )
+        big = _db(*[("R", i, i + 1) for i in range(3000)])
+        store = make_journal_store(spec)
+        store.register(0, "a", big, seq=1)
+        store.register(0, "b", big, seq=2)
+        one_each = len(store.primary.backend.get("shard-0.log"))
+        store.close()
+        for _ in range(12):
+            store = make_journal_store(spec)
+            follower = store.followers[0]
+            assert len(follower.backend.get("shard-0.log")) <= 3 * one_each
+            assert follower.residents(0) == {"a": big, "b": big}
+            assert follower.last_seq(0) == 2
+            store.close()
+
+    def test_seal_only_shard_survives_compaction(self, reopen):
+        store = reopen(compact_every=2)
+        for seq in (3, 5, 9):
+            store.seal(1, seq)
+        store.compact()
+        store.close()
+        assert reopen().last_seq(1) == 9
+
+
+class TestSqliteKV:
+    def test_kv_contract(self, tmp_path):
+        kv = SqliteKV(tmp_path / "kv.db")
+        try:
+            assert kv.get("a") is None
+            kv.set("a", b"one")
+            kv.append("a", b"+two")  # one more row, read back in order
+            kv.append("b", b"fresh")  # append creates
+            assert kv.get("a") == b"one+two"
+            assert kv.keys() == ["a", "b"]
+            assert kv.load() == ({"a": [b"one", b"+two"], "b": [b"fresh"]}, 0)
+            kv.set("a", b"replaced")  # set overwrites, not appends
+            kv.delete("b")
+            kv.delete("b")  # idempotent
+            assert kv.get("a") == b"replaced"
+            assert kv.keys() == ["a"]
+        finally:
+            kv.close()
+
+
+def _legacy_file(path, rows):
+    """A sqlite journal in the earlier layout: one row per op, *payload*
+    the framed pickle of the op's object (of ``b""`` for a seal)."""
+    conn = sqlite3.connect(str(path))
+    conn.executescript(
+        "CREATE TABLE journal (id INTEGER PRIMARY KEY AUTOINCREMENT,"
+        " shard INTEGER NOT NULL, seq INTEGER NOT NULL, name TEXT NOT NULL,"
+        " kind TEXT NOT NULL, payload BLOB NOT NULL);"
+        "CREATE INDEX journal_shard_name ON journal (shard, name);"
+    )
+    for shard, seq, name, kind, obj in rows:
+        if not isinstance(obj, bytes):  # Raw bytes stand for damage.
+            obj = pack_record(b"" if obj is None else pickle.dumps(obj))
+        conn.execute(
+            "INSERT INTO journal (shard, seq, name, kind, payload)"
+            " VALUES (?, ?, ?, ?, ?)",
+            (shard, seq, name, kind, obj),
+        )
+    conn.commit()
+    conn.close()
+
+
+class TestSqliteForeignFile:
+    def test_earlier_layout_is_upgraded(self, tmp_path):
+        path = tmp_path / "journal.db"
+        _legacy_file(path, [
+            (0, 1, "a", "snapshot", _db(("R", 0, 1))),
+            (0, 2, "a", "delta", _delta(inserts=[("X", 1, 2)])),
+            (1, 1, "b", "snapshot", _db(("S", 0, 1))),
+            (1, 7, "", "seal", None),
+        ])
+        for _ in range(2):  # The upgrade, then a plain reopen.
+            store = SqliteJournalStore(path)
+            try:
+                assert store.health()["truncated_ops"] == 0
+                assert store.get(0, "a") == _db(("R", 0, 1), ("X", 1, 2))
+                assert store.get(1, "b") == _db(("S", 0, 1))
+                assert (store.last_seq(0), store.last_seq(1)) == (2, 7)
+            finally:
+                store.close()
+        conn = sqlite3.connect(str(path))
+        assert conn.execute("SELECT COUNT(*) FROM journal").fetchone() == (4,)
+        conn.close()
+
+    def test_earlier_layout_keeps_its_intact_prefix(self, tmp_path):
+        path = tmp_path / "journal.db"
+        _legacy_file(path, [
+            (0, 1, "a", "snapshot", _db(("R", 0, 1))),
+            (0, 2, "a", "delta", b"\x00"),  # torn: the rest is lost
+            (0, 3, "a", "delta", _delta(inserts=[("X", 1, 2)])),
+        ])
+        store = SqliteJournalStore(path)
+        try:
+            assert store.health()["truncated_ops"] == 2
+            assert store.get(0, "a") == _db(("R", 0, 1))
+            assert store.last_seq(0) == 1
+        finally:
+            store.close()
+
+    def test_foreign_layout_recovers_empty_but_usable(self, tmp_path):
+        # A sqlite file with another layout of table ``journal`` cannot
+        # be read as this log: its rows are counted as lost and the file
+        # is rebuilt.
+        path = tmp_path / "journal.db"
+        conn = sqlite3.connect(str(path))
+        conn.execute(
+            "CREATE TABLE journal (id INTEGER PRIMARY KEY, blob BLOB)"
+        )
+        conn.executemany(
+            "INSERT INTO journal (blob) VALUES (?)", [(b"x",), (b"y",)]
+        )
+        conn.commit()
+        conn.close()
+        store = SqliteJournalStore(path)
+        try:
+            assert store.health()["truncated_ops"] == 2
+            assert store.residents(0) == {}
+            store.register(0, "toy", _db(("R", 0, 1)), seq=1)
+        finally:
+            store.close()
+        reopened = SqliteJournalStore(path)
+        try:
+            assert reopened.get(0, "toy") == _db(("R", 0, 1))
+            assert reopened.health()["truncated_ops"] == 0
+        finally:
+            reopened.close()
+
+
+#: Op streams for the replay fuzz: (name, kind, payload) per op.
+fuzz_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["register", "delta"]),
+        st.integers(min_value=0, max_value=5),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class _Log:
+    """Shard 0's log on one backend, read and damaged from outside the
+    store: the bytes of the ``MemoryKV`` value, of the ``FileKV`` file,
+    or of the ``SqliteKV`` row payloads in ``id`` order."""
+
+    def __init__(self, kind, root):
+        self.kind = kind
+        self.root = root
+        self.memory = MemoryKV()
+
+    def backend(self):
+        if self.kind == "memory":
+            return self.memory
+        if self.kind == "file":
+            return FileKV(os.path.join(self.root, "kv"))
+        return SqliteKV(os.path.join(self.root, "journal.db"))
+
+    def _rows(self):
+        conn = sqlite3.connect(os.path.join(self.root, "journal.db"))
+        rows = conn.execute(
+            "SELECT id, payload FROM journal WHERE key = 'shard-0.log'"
+            " ORDER BY id"
+        ).fetchall()
+        conn.close()
+        return rows
+
+    def size(self):
+        if self.kind == "memory":
+            return len(self.memory.get("shard-0.log"))
+        if self.kind == "file":
+            return os.path.getsize(
+                os.path.join(self.root, "kv", "shard-0.log")
+            )
+        return sum(len(payload) for _, payload in self._rows())
+
+    def damage(self, how, at, bit):
+        """Truncate the log at byte *at*, or flip *bit* of that byte."""
+        if self.kind == "memory":
+            self.memory.set(
+                "shard-0.log", _damaged(self.memory.get("shard-0.log"),
+                                        how, at, bit)
+            )
+            return
+        if self.kind == "file":
+            path = os.path.join(self.root, "kv", "shard-0.log")
+            with open(path, "rb") as handle:
+                blob = handle.read()
+            with open(path, "wb") as handle:
+                handle.write(_damaged(blob, how, at, bit))
+            return
+        conn = sqlite3.connect(os.path.join(self.root, "journal.db"))
+        start = 0
+        for row_id, payload in self._rows():
+            end = start + len(payload)
+            if start >= at and how == "truncate":
+                conn.execute("DELETE FROM journal WHERE id = ?", (row_id,))
+            elif start <= at < end:
+                conn.execute(
+                    "UPDATE journal SET payload = ? WHERE id = ?",
+                    (_damaged(payload, how, at - start, bit), row_id),
+                )
+            start = end
+        conn.commit()
+        conn.close()
+
+
+def _damaged(blob, how, at, bit):
+    if how == "truncate":
+        return blob[:at]
+    flipped = bytearray(blob)
+    flipped[at] ^= 1 << bit
+    return bytes(flipped)
+
+
+class TestReplayFuzz:
+    """Random damage to a real log: a reopen keeps exactly the state of
+    the longest intact record prefix and takes appends afterwards."""
+
+    @pytest.mark.parametrize("kind", ["memory", "file", "sqlite"])
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        ops=fuzz_ops,
+        how=st.sampled_from(["truncate", "flip"]),
+        where=st.floats(min_value=0, max_value=1, exclude_max=True),
+        bit=st.integers(min_value=0, max_value=7),
+    )
+    def test_damaged_log_replays_its_intact_prefix(
+        self, kind, ops, how, where, bit
+    ):
+        with tempfile.TemporaryDirectory() as root:
+            log = _Log(kind, root)
+            store = JournalStore(log.backend(), compact_every=1000)
+            # The expected state after each prefix of the op stream, and
+            # where each op's record ends in the log.
+            model, states, ends = {}, [{}], []
+            for seq, (name, op, payload) in enumerate(ops, start=1):
+                if op == "register" or name not in model:
+                    facts = {("R", payload, payload + 1)}
+                    store.register(0, name, _db(*facts), seq=seq)
+                else:
+                    facts = (model[name] - {("R", payload, payload + 1)}) | {
+                        ("X", payload, seq)
+                    }
+                    store.delta(
+                        0,
+                        name,
+                        _delta(
+                            inserts=[("X", payload, seq)],
+                            removes=[("R", payload, payload + 1)],
+                        ),
+                        seq=seq,
+                    )
+                model = dict(model, **{name: frozenset(facts)})
+                states.append(model)
+                ends.append(log.size())
+            store.close()
+
+            at = int(where * ends[-1])
+            log.damage(how, at, bit)
+            intact = sum(1 for end in ends if end <= at)
+            # A cut on a record boundary leaves a shorter log that is
+            # itself valid: nothing detectably lost.
+            torn = how == "flip" or at not in [0] + ends
+
+            reopened = JournalStore(log.backend())
+            try:
+                got = {
+                    name: db.facts
+                    for name, db in reopened.residents(0).items()
+                }
+                want = {
+                    name: _db(*facts).facts
+                    for name, facts in states[intact].items()
+                }
+                assert got == want
+                assert reopened.last_seq(0) == intact
+                truncated = reopened.health()["truncated_ops"]
+                assert truncated >= 1 if torn else truncated == 0
+                reopened.register(0, "after", _db(("T", 0, 1)), seq=intact + 1)
+            finally:
+                reopened.close()
+
+            again = JournalStore(log.backend())
+            try:
+                assert again.health()["truncated_ops"] == 0
+                assert again.last_seq(0) == intact + 1
+                assert again.get(0, "after") == _db(("T", 0, 1))
+                assert len(again.residents(0)) == len(states[intact]) + 1
+            finally:
+                again.close()
+
+
 class TestMakeJournalStore:
     def test_none_passthrough(self):
         assert make_journal_store(None) is None
 
     def test_instance_passthrough(self):
-        store = MemoryJournalStore()
+        store = JournalStore()
         assert make_journal_store(store) is store
 
     def test_memory_by_name(self):
         store = make_journal_store("memory")
-        assert isinstance(store, MemoryJournalStore)
+        assert isinstance(store, JournalStore)
 
     def test_sqlite_by_spec(self, tmp_path):
         store = make_journal_store("sqlite:{}".format(tmp_path / "j.db"))
@@ -386,7 +757,7 @@ class TestMakeJournalStore:
 
     def test_kv_by_spec(self, tmp_path):
         memory = make_journal_store("kv:memory")
-        assert isinstance(memory, KVJournalStore)
+        assert isinstance(memory, JournalStore)
         assert memory.backend.kind == "memory"
         filed = make_journal_store("kv:{}".format(tmp_path / "kvdir"))
         assert filed.backend.kind == "file"

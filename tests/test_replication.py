@@ -29,9 +29,8 @@ from repro.serving import (
     DeadlineExceeded,
     FailoverGuard,
     FileKV,
+    JournalStore,
     JournalUnavailable,
-    KVJournalStore,
-    MemoryJournalStore,
     MemoryKV,
     ReplicatedJournalStore,
     RestartPolicy,
@@ -60,7 +59,7 @@ def _delta(inserts=(), removes=()):
 # ---------------------------------------------------------------------------
 
 
-class _LossyFollower(MemoryJournalStore):
+class _LossyFollower(JournalStore):
     """Silently drops stamped ops above a ceiling -- a replica that
     stopped applying mid-stream (shipping still advances its cursor)."""
 
@@ -84,7 +83,7 @@ class _LossyFollower(MemoryJournalStore):
         super().seal(shard_id, seq)
 
 
-class _ExplodingFollower(MemoryJournalStore):
+class _ExplodingFollower(JournalStore):
     """Raises on every write once ``broken`` is set -- a dead replica."""
 
     def __init__(self):
@@ -102,7 +101,7 @@ class _ExplodingFollower(MemoryJournalStore):
         super().delta(*args, **kwargs)
 
 
-class _FlakyReadPrimary(MemoryJournalStore):
+class _FlakyReadPrimary(JournalStore):
     """Raises on reads once ``read_broken`` is set; writes still work."""
 
     def __init__(self):
@@ -154,12 +153,12 @@ class TestKVBackends:
 class TestKVJournalStoreDurability:
     def test_shared_backend_replays(self):
         kv = MemoryKV()
-        store = KVJournalStore(kv)
+        store = JournalStore(kv)
         store.register(0, "a", _db(("R", 0, 1)), seq=1)
         store.delta(0, "a", _delta(inserts=[("X", 1, 2)]), seq=2)
         store.register(1, "b", _db(("S", 0, 1)), seq=1)
         expected = store.get(0, "a")
-        reopened = KVJournalStore(kv)
+        reopened = JournalStore(kv)
         assert reopened.get(0, "a") == expected
         assert reopened.get(1, "b") == _db(("S", 0, 1))
         assert reopened.last_seq(0) == 2
@@ -169,16 +168,16 @@ class TestKVJournalStoreDurability:
         assert reopened.get(0, "a") == expected
 
     def test_file_backed_reopen(self, tmp_path):
-        store = KVJournalStore(FileKV(tmp_path / "kv"))
+        store = JournalStore(FileKV(tmp_path / "kv"))
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
         store.delta(0, "toy", _delta(inserts=[("X", 1, 2)]), seq=2)
         store.close()
-        reopened = KVJournalStore(FileKV(tmp_path / "kv"))
+        reopened = JournalStore(FileKV(tmp_path / "kv"))
         assert reopened.get(0, "toy") == _db(("R", 0, 1), ("X", 1, 2))
         assert reopened.last_seq(0) == 2
 
     def test_compaction_bounds_the_log(self, tmp_path):
-        store = KVJournalStore(FileKV(tmp_path / "kv"), compact_every=4)
+        store = JournalStore(FileKV(tmp_path / "kv"), compact_every=4)
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
         for i in range(10):
             store.delta(
@@ -188,27 +187,27 @@ class TestKVJournalStoreDurability:
         assert health["compactions"] == 2  # after deltas 4 and 8
         assert health["log_rows"] < 4 + 1
         expected = store.get(0, "toy")
-        reopened = KVJournalStore(FileKV(tmp_path / "kv"))
+        reopened = JournalStore(FileKV(tmp_path / "kv"))
         assert reopened.get(0, "toy") == expected
         assert reopened.last_seq(0) == 11
 
     def test_torn_tail_truncated_on_replay(self):
         kv = MemoryKV()
-        store = KVJournalStore(kv)
+        store = JournalStore(kv)
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
         store.tear(0)  # crash mid-append: checksum-failing tail record
-        reopened = KVJournalStore(kv)
+        reopened = JournalStore(kv)
         assert reopened.health()["truncated_ops"] == 1
         assert reopened.get(0, "toy") == _db(("R", 0, 1))
         assert reopened.last_seq(0) == 1
         # The truncated log was rewritten: a second replay is clean.
-        third = KVJournalStore(kv)
+        third = JournalStore(kv)
         assert third.health()["truncated_ops"] == 0
         assert third.last_seq(0) == 1
 
     def test_byte_level_truncation(self, tmp_path):
         kv = FileKV(tmp_path / "kv")
-        store = KVJournalStore(kv)
+        store = JournalStore(kv)
         for i in range(4):
             store.register(
                 0, "res-{}".format(i), _db(("R", i, i + 1)), seq=i + 1
@@ -216,14 +215,14 @@ class TestKVJournalStoreDurability:
         store.close()
         log = (tmp_path / "kv" / "shard-0.log").read_bytes()
         (tmp_path / "kv" / "shard-0.log").write_bytes(log[:-3])
-        reopened = KVJournalStore(FileKV(tmp_path / "kv"))
+        reopened = JournalStore(FileKV(tmp_path / "kv"))
         assert reopened.health()["truncated_ops"] == 1
         assert sorted(reopened.residents(0)) == ["res-0", "res-1", "res-2"]
         assert reopened.last_seq(0) == 3
 
     def test_compact_every_validated(self):
         with pytest.raises(ValueError):
-            KVJournalStore(MemoryKV(), compact_every=0)
+            JournalStore(MemoryKV(), compact_every=0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +233,8 @@ class TestKVJournalStoreDurability:
 class TestReplicationSemantics:
     def test_lag_and_flush(self):
         store = ReplicatedJournalStore(
-            MemoryJournalStore(),
-            (MemoryJournalStore(), MemoryJournalStore()),
+            JournalStore(),
+            (JournalStore(), JournalStore()),
             ship_every=100,  # nothing ships on its own
         )
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
@@ -251,7 +250,7 @@ class TestReplicationSemantics:
 
     def test_ship_every_ships_automatically(self):
         store = ReplicatedJournalStore(
-            MemoryJournalStore(), (MemoryJournalStore(),), ship_every=3
+            JournalStore(), (JournalStore(),), ship_every=3
         )
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
         store.delta(0, "toy", _delta(inserts=[("X", 1, 2)]), seq=2)
@@ -266,7 +265,7 @@ class TestReplicationSemantics:
         primary.register(0, "a", _db(("R", 0, 1)), seq=1)
         primary.delta(0, "a", _delta(inserts=[("X", 1, 2)]), seq=2)
         primary.register(1, "b", _db(("S", 0, 1)), seq=1)
-        follower = MemoryJournalStore()
+        follower = JournalStore()
         store = ReplicatedJournalStore(primary, (follower,))
         assert follower.get(0, "a") == primary.get(0, "a")
         assert follower.get(1, "b") == primary.get(1, "b")
@@ -279,7 +278,7 @@ class TestReplicationSemantics:
 
     def test_failover_retries_the_failed_write(self):
         store = ReplicatedJournalStore(
-            MemoryJournalStore(), (MemoryJournalStore(),)
+            JournalStore(), (JournalStore(),)
         )
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
         store.arm("write_error:times=1")
@@ -293,9 +292,9 @@ class TestReplicationSemantics:
 
     def test_promotes_the_most_caught_up_follower(self):
         lossy = _LossyFollower(ceiling=2)
-        fresh = MemoryJournalStore()
+        fresh = JournalStore()
         store = ReplicatedJournalStore(
-            MemoryJournalStore(), (lossy, fresh), ship_every=1
+            JournalStore(), (lossy, fresh), ship_every=1
         )
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
         for i in range(3):
@@ -312,9 +311,9 @@ class TestReplicationSemantics:
 
     def test_dead_follower_is_dropped_not_fatal(self):
         bad = _ExplodingFollower()
-        good = MemoryJournalStore()
+        good = JournalStore()
         store = ReplicatedJournalStore(
-            MemoryJournalStore(), (bad, good), ship_every=1
+            JournalStore(), (bad, good), ship_every=1
         )
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
         bad.broken = True
@@ -326,8 +325,8 @@ class TestReplicationSemantics:
 
     def test_guard_refusal_surfaces_unavailable(self):
         store = ReplicatedJournalStore(
-            MemoryJournalStore(),
-            (MemoryJournalStore(),),
+            JournalStore(),
+            (JournalStore(),),
             guard=FailoverGuard(RestartPolicy(max_restarts=0)),
         )
         store.arm("write_error:times=1")
@@ -336,7 +335,7 @@ class TestReplicationSemantics:
 
     def test_exhausted_replica_set_surfaces_unavailable(self):
         store = ReplicatedJournalStore(
-            MemoryJournalStore(), (MemoryJournalStore(),)
+            JournalStore(), (JournalStore(),)
         )
         store.arm("write_error:times=2")
         store.register(0, "a", _db(("R", 0, 1)), seq=1)  # promotes the one
@@ -361,7 +360,7 @@ class TestReplicationSemantics:
 
     def test_stall_delays_without_promoting(self):
         store = ReplicatedJournalStore(
-            MemoryJournalStore(), (MemoryJournalStore(),)
+            JournalStore(), (JournalStore(),)
         )
         store.arm("stall:seconds=0.05,times=1")
         start = time.monotonic()
@@ -371,7 +370,7 @@ class TestReplicationSemantics:
 
     def test_unknown_resident_delta_does_not_burn_a_replica(self):
         store = ReplicatedJournalStore(
-            MemoryJournalStore(), (MemoryJournalStore(),)
+            JournalStore(), (JournalStore(),)
         )
         with pytest.raises(KeyError):
             store.delta(0, "ghost", _delta(inserts=[("R", 0, 1)]), seq=1)
@@ -381,7 +380,7 @@ class TestReplicationSemantics:
     def test_degraded_read_falls_back_to_freshest_replica(self):
         primary = _FlakyReadPrimary()
         lossy = _LossyFollower(ceiling=1)
-        fresh = MemoryJournalStore()
+        fresh = JournalStore()
         store = ReplicatedJournalStore(primary, (lossy, fresh), ship_every=1)
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
         store.delta(0, "toy", _delta(inserts=[("X", 1, 2)]), seq=2)
@@ -395,7 +394,7 @@ class TestReplicationSemantics:
 
     def test_plain_read_on_dead_primary_fails_over(self):
         primary = _FlakyReadPrimary()
-        fresh = MemoryJournalStore()
+        fresh = JournalStore()
         store = ReplicatedJournalStore(primary, (fresh,), ship_every=1)
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
         primary.read_broken = True
@@ -418,8 +417,8 @@ class TestReplicationSemantics:
             follower.health()
 
     def test_injected_instances_stay_open(self):
-        primary = MemoryJournalStore()
-        follower = MemoryJournalStore()
+        primary = JournalStore()
+        follower = JournalStore()
         store = ReplicatedJournalStore(primary, (follower,), ship_every=100)
         store.register(0, "toy", _db(("R", 0, 1)), seq=1)
         store.close()  # flushes the op log, closes nothing it doesn't own
@@ -428,10 +427,10 @@ class TestReplicationSemantics:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ReplicatedJournalStore(MemoryJournalStore(), ())
+            ReplicatedJournalStore(JournalStore(), ())
         with pytest.raises(ValueError):
             ReplicatedJournalStore(
-                MemoryJournalStore(), (MemoryJournalStore(),), ship_every=0
+                JournalStore(), (JournalStore(),), ship_every=0
             )
 
     def test_server_rejects_journal_faults_without_replication(self):
@@ -486,8 +485,8 @@ class TestReplicationProperties:
     @given(ops_strategy, st.integers(min_value=1, max_value=5))
     def test_tailing_is_idempotent_and_byte_identical(self, ops, ship_every):
         store = ReplicatedJournalStore(
-            MemoryJournalStore(),
-            (MemoryJournalStore(), MemoryJournalStore()),
+            JournalStore(),
+            (JournalStore(), JournalStore()),
             ship_every=ship_every,
         )
         seq = 0
@@ -524,7 +523,7 @@ class TestReplicationProperties:
     @given(ops_strategy)
     def test_kv_replay_matches_live_state(self, ops):
         kv = MemoryKV()
-        store = KVJournalStore(kv, compact_every=5)
+        store = JournalStore(kv, compact_every=5)
         seq = 0
         registered = set()
         for name, kind, payload, _redeliver in ops:
@@ -538,7 +537,7 @@ class TestReplicationProperties:
                 store.delta(
                     0, name, _delta(inserts=[("X", payload, seq)]), seq=seq
                 )
-        replayed = KVJournalStore(kv)
+        replayed = JournalStore(kv)
         assert _state_bytes(replayed) == _state_bytes(store)
 
 

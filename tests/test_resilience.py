@@ -12,6 +12,7 @@ schedules live in ``tests/test_chaos.py``.
 import asyncio
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -248,21 +249,32 @@ class TestAdmissionControl:
         assert worker.stats()["overload_shed"] == 1
         worker.stop()
 
-    def test_server_max_in_flight_sheds(self):
+    def test_server_max_in_flight_sheds(self, monkeypatch):
+        release = threading.Event()
+        run_batch = ShardCore.run_batch
+
+        def held_batch(core, ops):
+            # The single shard stays busy until the test releases it.
+            release.wait(timeout=30)
+            return run_batch(core, ops)
+
         async def scenario():
-            # One shard, huge assembly delay: the first request parks in
-            # batch assembly, so the rest exceed the in-flight cap.
             async with AsyncCertaintyServer(
-                num_shards=1, max_delay=5.0, max_in_flight=1
+                num_shards=1, max_in_flight=1
             ) as server:
                 await server.register("toy", _toy())
-                waiters = [
-                    asyncio.ensure_future(server.solve("toy", "RRX"))
-                    for _ in range(4)
-                ]
-                done = await asyncio.gather(*waiters, return_exceptions=True)
-                stats = server.stats()
-                return done, stats
+                monkeypatch.setattr(ShardCore, "run_batch", held_batch)
+                try:
+                    first = asyncio.ensure_future(server.solve("toy", "RRX"))
+                    await asyncio.sleep(0)  # the first request is admitted
+                    rest = await asyncio.gather(
+                        *(server.solve("toy", "RRX") for _ in range(3)),
+                        return_exceptions=True,
+                    )
+                finally:
+                    release.set()
+                done = [await first] + rest
+                return done, server.stats()
 
         done, stats = asyncio.run(scenario())
         shed = [r for r in done if isinstance(r, ServerOverloaded)]
