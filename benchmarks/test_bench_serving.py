@@ -105,31 +105,6 @@ def test_bench_serving_stays_warm():
     assert warm + coalesced >= report["requests"]
 
 
-def test_bench_serving_latency_bound_smoke():
-    """max_delay is a *bound*: a lone request is served after at most the
-    coalescing window -- the batcher never holds it until the batch fills."""
-
-    async def lone_request():
-        async with AsyncCertaintyServer(
-            num_shards=1, max_delay=0.05, max_batch=8
-        ) as server:
-            await server.register(
-                "toy", chain_instance("RRX", repetitions=3, conflict_every=3)
-            )
-            await server.solve("toy", "RRX")  # warm
-            loop = asyncio.get_running_loop()
-            start = loop.time()
-            await server.solve("toy", "RRX")
-            return loop.time() - start
-
-    elapsed = asyncio.run(lone_request())
-    # The lone request pays at most the 50ms coalescing window plus the
-    # (microsecond) warm execution; a batch-full batcher would hang here.
-    assert elapsed < 0.5, (
-        "lone request exceeded the max-latency bound: {:.3f}s".format(elapsed)
-    )
-
-
 @pytest.mark.skipif(
     CPUS < 2,
     reason="the process-parallelism gate needs >= 2 CPU cores; on one "
@@ -184,7 +159,7 @@ def test_bench_serving_roundtrip_recorded(benchmark, transport):
     ``BENCH_report.md``.
     """
     server = AsyncCertaintyServer(
-        num_shards=1, transport=transport, max_batch=32, max_delay=0.0
+        num_shards=1, transport=transport, max_batch=32
     )
     server.start()
 

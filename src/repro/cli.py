@@ -226,7 +226,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         async with AsyncCertaintyServer(
             num_shards=args.shards,
             max_batch=args.max_batch,
-            max_delay=args.max_delay,
             transport=args.transport,
             journal_store=args.journal,
             queue_limit=args.queue_limit,
@@ -411,7 +410,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         repetitions=args.repetitions or 40,
         n_requests=args.requests or 240,
         max_batch=args.max_batch,
-        max_delay=args.max_delay,
         transport=args.transport,
         chaos=args.chaos,
     )
@@ -645,7 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument("--shards", type=int, default=4)
     serve_parser.add_argument("--max-batch", type=int, default=32)
-    serve_parser.add_argument("--max-delay", type=float, default=0.002)
     serve_parser.add_argument(
         "--transport",
         default="thread",
@@ -729,7 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream length (default: 240 shard-warm, 64 --cpu-bound)",
     )
     bench_serve_parser.add_argument("--max-batch", type=int, default=32)
-    bench_serve_parser.add_argument("--max-delay", type=float, default=0.001)
     bench_serve_parser.add_argument(
         "--transport",
         default="thread",

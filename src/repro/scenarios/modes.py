@@ -235,7 +235,6 @@ def _run_serve(
             num_shards=SERVE_SHARDS,
             transport=transport,
             max_batch=8,
-            max_delay=0.001,
             **options,
         ) as server:
             for name in names:

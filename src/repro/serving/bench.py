@@ -128,7 +128,6 @@ def run_serving_benchmark(
     repetitions: int = 40,
     n_requests: int = 240,
     max_batch: int = 32,
-    max_delay: float = 0.001,
     transport: str = "thread",
     chaos=None,
 ) -> Dict[str, object]:
@@ -167,7 +166,6 @@ def run_serving_benchmark(
         async with AsyncCertaintyServer(
             num_shards=num_shards,
             max_batch=max_batch,
-            max_delay=max_delay,
             transport=transport,
             faults=plan,
         ) as server:
@@ -285,8 +283,7 @@ def run_transport_benchmark(
         # shard -- here every request must pay its own kernel, because
         # per-request CPU is precisely what the transports race on.
         async with AsyncCertaintyServer(
-            num_shards=num_shards, max_batch=1, max_delay=0.0,
-            transport=transport,
+            num_shards=num_shards, max_batch=1, transport=transport,
         ) as server:
             for shard, name in enumerate(sorted(instances)):
                 await server.register(name, instances[name], shard=shard)

@@ -148,16 +148,26 @@ class ReplicatedJournalStore(JournalStore):
     def _sync_follower(self, follower: JournalStore) -> None:
         """Snapshot-ship the primary's current state to a follower.
 
-        Registrations go **unstamped** (stamping several with the same
+        A shard the follower already holds -- the primary's high-water
+        and the same residents with equal facts -- is skipped, so
+        reopening an in-sync store writes nothing.  Otherwise
+        registrations go **unstamped** (stamping several with the same
         seq would trip the follower's redelivery guard after the first)
         and one :meth:`~repro.serving.journal.JournalStore.seal` jumps
         the follower's high-water to the primary's, the point its
         snapshots are consistent with.
         """
         for shard_id in sorted(self._shards):
-            for name, db in self.primary.residents(shard_id).items():
+            residents = self.primary.residents(shard_id)
+            seq = self.primary.last_seq(shard_id)
+            if (
+                follower.last_seq(shard_id) == seq
+                and follower.residents(shard_id) == residents
+            ):
+                continue
+            for name, db in residents.items():
                 follower.register(shard_id, name, db, seq=0)
-            follower.seal(shard_id, self.primary.last_seq(shard_id))
+            follower.seal(shard_id, seq)
 
     # -- fault injection ----------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The asyncio front door: admission, routing, and micro-batched dispatch.
+"""The asyncio front door: admission, routing, and batched dispatch.
 
 :class:`AsyncCertaintyServer` is the serving subsystem's public surface.
 Client coroutines ``await`` CERTAINTY decisions; the server routes each
@@ -50,10 +50,9 @@ class AsyncCertaintyServer:
 
     *num_shards* workers are spawned on :meth:`start` (or on entering the
     ``async with`` block); each owns a private engine built by
-    *engine_factory*.  *max_batch* / *max_delay* tune the per-shard
-    micro-batcher: the first request of a batch waits at most *max_delay*
-    seconds for companions, so worst-case added latency is bounded while
-    bursts are served in one drain (identical concurrent reads coalesce
+    *engine_factory*.  An idle shard dispatches a request at once; the
+    requests that arrive while a batch is in service are served as the
+    next batch, up to *max_batch* (identical concurrent reads coalesce
     into a single engine call).
 
     *transport* picks where each shard's engine lives (see
@@ -116,7 +115,6 @@ class AsyncCertaintyServer:
         num_shards: int = 4,
         router: Optional[ShardRouter] = None,
         max_batch: int = 32,
-        max_delay: float = 0.002,
         engine_factory=CertaintyEngine,
         transport="thread",
         transport_options: Optional[dict] = None,
@@ -177,7 +175,6 @@ class AsyncCertaintyServer:
                 shard,
                 engine_factory=engine_factory,
                 max_batch=max_batch,
-                max_delay=max_delay,
                 transport=transport,
                 transport_options=transport_options,
                 journal_store=self.journal_store,

@@ -15,9 +15,10 @@ assembly loop -- driving a :class:`ShardCore` -- the transport-agnostic
 execution logic -- through a pluggable
 :class:`~repro.serving.transport.ShardTransport`:
 
-* the worker owns the request queue and the drain loop (first request of
-  a batch waits at most *max_delay* seconds for companions, up to
-  *max_batch*) plus graceful shutdown;
+* the worker owns the request queue and the drain loop (an idle shard
+  dispatches a request at once; requests that arrive while a batch is
+  in service form the next batch, up to *max_batch*) plus graceful
+  shutdown;
 * the core owns the shard's resident instances and a private
   :class:`~repro.engine.CertaintyEngine` (its plan LRU and its
   :class:`~repro.solvers.state_cache.StateCache` of maintained
@@ -476,9 +477,10 @@ class ShardWorker:
     """A persistent worker serving one shard through a transport.
 
     The worker owns the shard's request queue and the **micro-batch
-    assembly loop**: the first request of a batch waits at most
-    *max_delay* seconds for companions (up to *max_batch*), and the
-    assembled batch is handed to the shard's
+    assembly loop**: an idle worker dispatches the first request at
+    once, together with whatever is already queued behind it (up to
+    *max_batch*), so a batch is exactly what arrived while the previous
+    one was in service.  The assembled batch is handed to the shard's
     :class:`~repro.serving.transport.ShardTransport` for execution.  The
     transport decides where the shard's :class:`ShardCore` (residents +
     engine) lives:
@@ -512,7 +514,6 @@ class ShardWorker:
         shard_id: int,
         engine_factory: Callable[[], CertaintyEngine] = CertaintyEngine,
         max_batch: int = 32,
-        max_delay: float = 0.002,
         transport: Union[str, Callable] = "thread",
         transport_options: Optional[dict] = None,
         journal_store=None,
@@ -523,15 +524,12 @@ class ShardWorker:
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_delay < 0:
-            raise ValueError("max_delay must be >= 0")
         if queue_limit is not None and queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         from repro.serving.transport import make_transport
 
         self.shard_id = shard_id
         self.max_batch = max_batch
-        self.max_delay = max_delay
         #: Bounded-queue admission: submissions beyond this many queued
         #: requests fail fast with :class:`ServerOverloaded` (None =
         #: unbounded, the pre-resilience behavior).
@@ -702,34 +700,16 @@ class ShardWorker:
                 return
 
     def _drain(self):
-        """Block for one request, then gather companions until the batch
-        is full or *max_delay* has elapsed.
-
-        The assembly deadline is recomputed from a fresh monotonic
-        reading *after* the blocking ``get()`` returns -- never from a
-        timestamp taken before it -- and the loop breaks the moment
-        ``remaining <= 0``, so a first item arriving right at (or past)
-        a clock edge can never turn into a zero-or-negative timeout that
-        blocks ``queue.get()`` indefinitely.  If the first request
-        carries its own deadline that is *earlier* than the assembly
-        window, the window shrinks to it (floored at "now"): a nearly
-        expired request is dispatched immediately instead of waiting the
-        full *max_delay* for companions it cannot afford.
-        """
+        """Block for one request, then take what is already queued behind
+        it, up to *max_batch* -- no timed wait: an idle shard dispatches
+        at once, and a busy one batches what arrived meanwhile."""
         first = self._queue.get()
         if first is _STOP:
             return [], True
         batch: List[ShardRequest] = [first]
-        now = time.monotonic()
-        deadline = now + self.max_delay
-        if first.deadline is not None:
-            deadline = min(deadline, max(first.deadline, now))
         while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
             try:
-                item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _STOP:

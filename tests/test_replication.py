@@ -39,6 +39,7 @@ from repro.serving import (
     SqliteJournalStore,
     make_journal_store,
 )
+from repro.workloads.generators import chain_instance
 
 TRANSPORTS = ["thread", "process"]
 
@@ -274,6 +275,43 @@ class TestReplicationSemantics:
         lags = [r["lag"] for r in store.health()["replication"]["replicas"]]
         assert lags == [0]
         store.close()
+        primary.close()
+
+    def test_reopening_an_in_sync_store_ships_nothing(self, tmp_path):
+        # Two residents large enough that re-registering them supersedes
+        # enough bytes to trigger a follower log compaction.
+        spec = "replicated:sqlite:{0}/p.db;sqlite:{0}/f.db".format(tmp_path)
+        a = chain_instance("RRX", repetitions=900, conflict_every=7)
+        b = chain_instance("RXRX", repetitions=700, conflict_every=7)
+        store = make_journal_store(spec)
+        store.register(0, "a", a, seq=1)
+        store.register(1, "b", b, seq=1)
+        store.flush()
+        store.close()
+        for _ in range(3):
+            store = make_journal_store(spec)
+            follower = store.followers[0]
+            assert follower.health()["compactions"] == 0
+            assert follower.get(0, "a") == a and follower.get(1, "b") == b
+            assert [follower.last_seq(0), follower.last_seq(1)] == [1, 1]
+            store.close()
+
+    @pytest.mark.parametrize("damage", ["missing", "different"])
+    def test_out_of_sync_follower_is_resynced(self, tmp_path, damage):
+        primary = SqliteJournalStore(tmp_path / "p.db")
+        primary.register(0, "a", _db(("R", 0, 1)), seq=1)
+        primary.register(0, "b", _db(("S", 0, 1)), seq=2)
+        follower = SqliteJournalStore(tmp_path / "f.db")
+        # At the primary's high-water, but without "b" or with a stale "b".
+        follower.register(0, "a", _db(("R", 0, 1)))
+        if damage == "different":
+            follower.register(0, "b", _db(("S", 0, 2)))
+        follower.seal(0, 2)
+        store = ReplicatedJournalStore(primary, (follower,))
+        assert follower.residents(0) == primary.residents(0)
+        assert follower.last_seq(0) == 2
+        store.close()
+        follower.close()
         primary.close()
 
     def test_failover_retries_the_failed_write(self):

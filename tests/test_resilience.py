@@ -353,11 +353,9 @@ class TestDeadlines:
         assert stats["admission"]["deadline_shed"] == 1
 
     def test_drain_floor_expired_first_item_dispatches_immediately(self):
-        # The satellite-2 pin: a first queue item whose deadline is
-        # already past must clamp the assembly window to "now", not feed
-        # queue.get() a negative timeout or wait out max_delay (30s here
-        # -- without the floor this test times out).
-        worker = ShardWorker(0, max_delay=30.0)
+        # A first queue item whose deadline is already past is shed at
+        # assembly without waiting for companions.
+        worker = ShardWorker(0)
         worker.execute([ShardRequest("register", name="toy", db=_toy())])
         worker.start()
         try:

@@ -9,6 +9,8 @@ replay, certificate rehydration, health counters) is covered separately.
 """
 
 import asyncio
+import threading
+import time
 
 import pytest
 
@@ -38,6 +40,27 @@ def _toy(extra=()):
     return DatabaseInstance.from_triples(
         [("R", 0, 1), ("R", 1, 2), ("X", 2, 3), *extra]
     )
+
+
+class _ShardHold:
+    """Parks ``ShardWorker.execute`` on an event, so the batch in service
+    stays in service and later requests queue behind it.  Both transports
+    call ``execute`` from the worker's own (parent-side) thread."""
+
+    def __init__(self, monkeypatch):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        execute = ShardWorker.execute
+
+        def held(worker, batch):
+            self.entered.set()
+            self.release.wait(30)
+            execute(worker, batch)
+
+        monkeypatch.setattr(ShardWorker, "execute", held)
+
+    async def wait_entered(self):
+        assert await asyncio.to_thread(self.entered.wait, 30)
 
 
 @pytest.fixture(params=TRANSPORTS)
@@ -220,8 +243,6 @@ class TestShardWorker:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             ShardWorker(0, max_batch=0)
-        with pytest.raises(ValueError):
-            ShardWorker(0, max_delay=-1.0)
 
 
 class TestProcessTransportRecovery:
@@ -440,31 +461,45 @@ class TestAsyncCertaintyServer:
         with pytest.raises(ServerClosed):
             server.start()  # a closed server cannot be restarted
 
-    def test_close_fails_pending_requests(self, transport):
+    def test_close_fails_pending_requests(self, transport, monkeypatch):
         """The graceful-shutdown contract at the asyncio surface:
         requests still queued when close() runs fail with ServerClosed
         instead of leaving their futures pending forever."""
 
         async def scenario():
             server = AsyncCertaintyServer(
-                num_shards=1,
-                transport=transport,
-                max_batch=64,
-                max_delay=5.0,  # long coalescing window: requests queue up
+                num_shards=1, transport=transport, max_batch=64
             )
             server.start()
+            await server.register("toy", _toy())
+            hold = _ShardHold(monkeypatch)
+            held = asyncio.ensure_future(server.solve("toy", "RRX"))
+            await hold.wait_entered()
             tasks = [
                 asyncio.ensure_future(server.solve("toy", "RRX"))
                 for _ in range(3)
             ]
-            await asyncio.sleep(0.05)  # let them reach the shard queue
+            await asyncio.sleep(0)  # each task submits before it awaits
+            worker = server.workers[0]
+            assert worker.queue_depth() == 3
+
+            def release_once_closing():
+                while not worker._closing:
+                    time.sleep(0.001)
+                hold.release.set()
+
+            timer = threading.Timer(0.0, release_once_closing)
+            timer.start()
             server.close()
+            timer.join(10)
+            assert not timer.is_alive()
             settled = await asyncio.gather(*tasks, return_exceptions=True)
             with pytest.raises(ServerClosed):
                 await server.solve("toy", "RRX")  # admission after close
-            return settled, server.stats()
+            return await held, settled, server.stats()
 
-        settled, stats = asyncio.run(scenario())
+        held, settled, stats = asyncio.run(scenario())
+        assert held.answer is True  # the batch in service finishes
         assert all(isinstance(error, ServerClosed) for error in settled)
         assert stats["admission"]["failed"] == 3
         assert stats["admission"]["in_flight"] == 0
@@ -484,25 +519,29 @@ class TestAsyncCertaintyServer:
         assert stats["shards"][2]["requests"] == 2  # register + solve
         assert stats["shards"][0]["requests"] == 0
 
-    def test_concurrent_burst_is_batched(self, transport):
+    def test_concurrent_burst_is_batched(self, transport, monkeypatch):
         async def scenario():
             async with AsyncCertaintyServer(
-                num_shards=1,
-                max_batch=64,
-                max_delay=0.05,
-                transport=transport,
+                num_shards=1, max_batch=64, transport=transport
             ) as server:
                 await server.register("toy", _toy())
                 await server.solve("toy", "RRX")  # warm the state
-                burst = await asyncio.gather(
+                hold = _ShardHold(monkeypatch)
+                held = asyncio.ensure_future(server.solve("toy", "RRX"))
+                await hold.wait_entered()
+                burst = asyncio.gather(
                     *(server.solve("toy", "RRX") for _ in range(32))
                 )
-                return burst, server.stats()["shards"][0]
+                await asyncio.sleep(0)  # all 32 queue behind the held batch
+                assert server.workers[0].queue_depth() == 32
+                hold.release.set()
+                results = [await held, *await burst]
+                return results, server.stats()["shards"][0]
 
         burst, shard = asyncio.run(scenario())
         assert all(r.answer is True for r in burst)
-        # The burst was admitted concurrently, so at least one drain
-        # served multiple requests in a single micro-batch.
+        # What queued while a batch was in service is drained as one
+        # micro-batch.
         assert shard["max_batch_size"] > 1
 
 
