@@ -424,25 +424,22 @@ def instance_to_edb(db) -> Dict[str, List[Tuple]]:
 
 
 def instance_edb_compact(view) -> Dict[str, List[Tuple]]:
-    """The interned EDB of a :class:`~repro.db.compact.CompactInstance`.
+    """The EDB of a :class:`~repro.db.compact.CompactInstance`, in lids.
 
-    Rows carry the process-wide interner's constant ids (the id space
-    :class:`~repro.datalog.engine.CompactProgram` joins over), read
-    straight off the compact view's edge arrays -- no Fact object or
-    object-level constant is touched.  Cached on the (immutable) view,
-    so repeated NL solves against a warm instance skip the export.
+    Rows carry the view's own local ids, read straight off its edge
+    arrays -- no Fact object or object-level constant is touched.  A
+    program evaluates over them as they are only if it has no rule
+    constants (``CompactProgram.constants`` is empty, as for every
+    Claim 5 program).  Cached on the (immutable) view, so repeated NL
+    solves against a warm instance skip the export.
     """
 
     def build() -> Dict[str, List[Tuple]]:
-        gids = view.gids
         edb: Dict[str, List[Tuple]] = {
-            ADOM: [(gids[lid],) for lid in view.alive_lids()]
+            ADOM: [(lid,) for lid in view.alive_lids()]
         }
         for relation in view.relations:
-            rows = [
-                (gids[key], gids[value])
-                for key, value in view.edges(relation)
-            ]
+            rows = list(view.edges(relation))
             if rows:
                 edb[rel(relation)] = rows
         return edb

@@ -7,14 +7,16 @@ computed relations (stratification guarantees they are), and the ``neq``
 builtin is checked once its arguments are bound.
 
 One evaluator runs the Claim 5 programs: the **compact engine**
-(:class:`CompactProgram`, :func:`evaluate_program`).  Constants are
-interned to dense ints (:mod:`repro.db.interner`), rules are compiled
-once into register programs (variables become list slots, probe keys
-become precomputed extractor tuples), and rows are int tuples.  Joins
-are hash-indexed: each body literal probes a per-relation index keyed
-on its bound positions -- constants and variables bound by earlier
-literals -- built lazily on first probe and maintained as tuples are
-derived.  No per-row binding dict is allocated and no
+(:class:`CompactProgram`, :func:`evaluate_program`).  Rules are
+compiled once into register programs (variables become list slots,
+probe keys become precomputed extractor tuples), and rows are int
+tuples in any id space where the program's ``k`` rule constants hold
+the ids ``0..k-1`` -- per call in :func:`evaluate_program`, a compact
+view's local ids in the NL solver (Claim 5 programs have ``k == 0``).
+Joins are hash-indexed: each body literal probes a per-relation index
+keyed on its bound positions -- constants and variables bound by
+earlier literals -- built lazily on first probe and maintained as
+tuples are derived.  No per-row binding dict is allocated and no
 :class:`~repro.queries.atoms.Variable` is hashed on the hot path.
 
 :func:`evaluate_program_naive` is the scan-and-unify reference the
@@ -29,7 +31,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.datalog.stratify import stratify
 from repro.datalog.syntax import Literal, Program, Rule
-from repro.db.interner import global_interner
 from repro.queries.atoms import Variable, is_variable
 
 Tuple_ = Tuple[Hashable, ...]
@@ -46,7 +47,7 @@ def _reordered_body(rule: Rule) -> List[Literal]:
 
 
 # ----------------------------------------------------------------------
-# The compact engine: interned constants, register-compiled rules
+# The compact engine: int rows, register-compiled rules
 # ----------------------------------------------------------------------
 
 _EMPTY_SET: frozenset = frozenset()
@@ -62,7 +63,7 @@ class _LitAccess:
 
     ``sig`` / ``key_parts`` describe the index probe (positions holding
     constants or variables bound by earlier literals; each key part is
-    ``(is_register, slot_or_interned_const)``); ``ops`` validate and
+    ``(is_register, slot_or_const_id)``); ``ops`` validate and
     bind the remaining positions of an indexed candidate row; and
     ``delta_ops`` re-validate *every* position (used when this literal
     is bound to the semi-naive delta, which bypasses the index).
@@ -103,7 +104,7 @@ class _CheckAccess:
 
 
 class _CompactRule:
-    """A rule compiled to a register program over interned constants.
+    """A rule compiled to a register program over int constant ids.
 
     Variables are numbered into register slots once at compile time;
     evaluating the rule allocates a single ``regs`` list and never
@@ -121,7 +122,7 @@ class _CompactRule:
         "checks",
     )
 
-    def __init__(self, rule: Rule, intern_const) -> None:
+    def __init__(self, rule: Rule, const_id) -> None:
         body = _reordered_body(rule)
         positives = [l for l in body if not l.negated and not l.is_builtin]
         registers: Dict[Variable, int] = {}
@@ -136,7 +137,7 @@ class _CompactRule:
             seen_here: Dict[Variable, int] = {}
             for pos, arg in enumerate(literal.args):
                 if not is_variable(arg):
-                    cid = intern_const(arg)
+                    cid = const_id(arg)
                     sig.append(pos)
                     key_parts.append((False, cid))
                     delta_ops.append((pos, cid, _OP_CONST))
@@ -170,7 +171,7 @@ class _CompactRule:
         for literal in body[len(positives):]:
             parts = tuple(
                 (True, registers[arg]) if is_variable(arg)
-                else (False, intern_const(arg))
+                else (False, const_id(arg))
                 for arg in literal.args
             )
             is_neq = literal.is_builtin
@@ -185,7 +186,7 @@ class _CompactRule:
         self.head_pred = rule.head.predicate
         self.head_out = tuple(
             (True, registers[arg]) if is_variable(arg)
-            else (False, intern_const(arg))
+            else (False, const_id(arg))
             for arg in rule.head.args
         )
         self.n_regs = len(registers)
@@ -198,7 +199,7 @@ class _CompactStore:
     the tuple of bound argument positions; ``add`` keeps every live index
     of the predicate current, so an index is built at most once per
     evaluation however many semi-naive rounds run.  Rows are tuples of
-    interned constant ids, and single-position signatures are keyed by
+    constant ids, and single-position signatures are keyed by
     the bare int instead of a 1-tuple (the dominant probe shape of the
     Claim 5 chain rules).
     """
@@ -379,36 +380,39 @@ class CompactProgram:
     """A program compiled once for the compact engine.
 
     Rule compilation (register numbering, probe signatures, constant
-    interning through the process-wide
-    :func:`~repro.db.interner.global_interner`) happens here, so every
-    :meth:`evaluate` call does instance-dependent work only.  Obtain
-    instances through :func:`compact_program`, which memoizes one
-    compiled form per :class:`~repro.datalog.syntax.Program`.
+    numbering) happens here, so every :meth:`evaluate` call does
+    instance-dependent work only.  The program's rule constants get the
+    ids ``0..k-1`` in first-seen order; :attr:`constants` keeps them, so
+    ``constants[i]`` is the constant behind id ``i``.  Obtain instances
+    through :func:`compact_program`, which memoizes one compiled form
+    per :class:`~repro.datalog.syntax.Program`.
     """
 
-    __slots__ = ("program", "strata", "_plans_by_stratum")
+    __slots__ = ("program", "strata", "constants", "_plans_by_stratum")
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        intern_const = global_interner().constant_id
+        ids: Dict[Hashable, int] = {}
         self.strata = stratify(program)
         self._plans_by_stratum: List[List[_CompactRule]] = [
             [
-                _CompactRule(rule, intern_const)
+                _CompactRule(rule, lambda v: ids.setdefault(v, len(ids)))
                 for rule in program.rules
                 if rule.head.predicate in stratum
             ]
             for stratum in self.strata
         ]
+        self.constants: Tuple[Hashable, ...] = tuple(ids)
 
     def evaluate(
         self, edb_int: Dict[str, Iterable[Tuple_]]
     ) -> Database:
-        """Bottom-up evaluation over already-interned int rows.
+        """Bottom-up evaluation over int rows.
 
-        *edb_int* maps EDB predicate names to rows of interned constant
-        ids (``CompactInstance`` exports / ``interner.constant_id``).
-        Returns the full int-row materialization.
+        *edb_int* maps EDB predicate names to rows of int constant ids,
+        in any id space where ``constants[i]`` has id ``i``; every other
+        constant may take any other id.  Returns the full int-row
+        materialization in the same id space.
         """
         relations: Database = {
             predicate: set(map(tuple, rows))
@@ -444,24 +448,26 @@ def evaluate_program(
     """Evaluate *program* bottom-up on the extensional database *edb*.
 
     Returns the full materialization: every EDB and IDB predicate mapped
-    to its set of tuples.  Constants are interned on the way in and the
-    materialization decoded on the way out, so the result is directly
-    comparable to :func:`evaluate_program_naive` (the differential tests
-    do exactly that).  Callers holding pre-interned rows (the NL solver
-    reading a :class:`~repro.db.compact.CompactInstance`) should call
+    to its set of tuples, directly comparable to
+    :func:`evaluate_program_naive` (the differential tests do exactly
+    that).  Constants are numbered on the way in, after the program's
+    own, and decoded on the way out; both tables die with the call.
+    Callers holding int rows already (the NL solver reading a
+    :class:`~repro.db.compact.CompactInstance`) should call
     :meth:`CompactProgram.evaluate` and skip both conversions.
     """
     compiled = compact_program(program)
-    interner = global_interner()
-    intern = interner.constant_id
-    decode = interner.constant
+    ids = {value: cid for cid, value in enumerate(compiled.constants)}
     edb_int = {
-        predicate: [tuple(intern(v) for v in row) for row in rows]
+        predicate: [
+            tuple(ids.setdefault(v, len(ids)) for v in row) for row in rows
+        ]
         for predicate, rows in edb.items()
     }
     materialization = compiled.evaluate(edb_int)
+    decode = list(ids)
     return {
-        predicate: {tuple(decode(v) for v in row) for row in rows}
+        predicate: {tuple(decode[v] for v in row) for row in rows}
         for predicate, rows in materialization.items()
     }
 

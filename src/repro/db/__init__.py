@@ -9,7 +9,6 @@ from repro.db.facts import Fact
 from repro.db.instance import Block, DatabaseInstance
 from repro.db.delta import Delta, DeltaInstance
 from repro.db.compact import CompactInstance
-from repro.db.interner import Interner, global_interner
 from repro.db.repairs import (
     count_repairs,
     iter_repairs,
@@ -37,8 +36,6 @@ __all__ = [
     "Delta",
     "DeltaInstance",
     "CompactInstance",
-    "Interner",
-    "global_interner",
     "count_repairs",
     "iter_repairs",
     "random_repair",

@@ -8,12 +8,9 @@ which spend their time hashing tuples of arbitrary constants.  A
 integers:
 
 * constants get **local ids** ``0..n-1`` (in canonical ``sorted_adom``
-  order for fresh builds); the process-wide **global ids** of
-  :mod:`repro.db.interner` (:attr:`CompactInstance.gids`) are computed
-  on first access only, because only the Claim 5 Datalog EDB encoder
-  (the forced ``nl`` method) reads them -- every ``auto`` route works on
-  local ids, so building or patching a view interns nothing and the
-  process-wide interner does not grow with the constants it serves;
+  order for fresh builds).  They are the only constant ids in the
+  process: every kernel, the Claim 5 Datalog route included, reads
+  them, and no table outlives the views that use it;
 * each relation gets an **int-indexed out-edge adjacency**
   (``out[rel][key_lid]`` is the tuple of value lids -- the block
   contents), the matching in-adjacency (``in_[rel][value_lid]`` is the
@@ -41,10 +38,9 @@ domain-wide axioms.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
 
 from repro.db.facts import Fact
-from repro.db.interner import global_interner
 
 _EMPTY: Tuple[int, ...] = ()
 
@@ -59,7 +55,6 @@ class CompactInstance:
         "n",
         "consts",
         "local_of",
-        "_gids",
         "alive",
         "relations",
         "out",
@@ -79,7 +74,6 @@ class CompactInstance:
         cls,
         consts: List[Hashable],
         local_of: Dict[Hashable, int],
-        gids: Optional["array"],
         alive: bytearray,
         out: Dict[str, List[Tuple[int, ...]]],
         out_deg: Dict[str, "array"],
@@ -89,7 +83,6 @@ class CompactInstance:
         view.n = len(consts)
         view.consts = consts
         view.local_of = local_of
-        view._gids = gids
         view.alive = alive
         view.relations = tuple(sorted(out))
         view.out = out
@@ -150,7 +143,7 @@ class CompactInstance:
                 for r in in_lists[relation]
             ]
         return cls._assemble(
-            consts, local_of, None, alive, out, out_deg, in_
+            consts, local_of, alive, out, out_deg, in_
         )
 
     def patched(
@@ -174,9 +167,7 @@ class CompactInstance:
             return self
         consts = list(self.consts)
         local_of = dict(self.local_of)
-        gids = None if self._gids is None else array("q", self._gids)
         alive = bytearray(self.alive)
-        interner = global_interner()
 
         delta_constants = set()
         for fact in added:
@@ -189,8 +180,6 @@ class CompactInstance:
             if constant not in local_of:
                 local_of[constant] = len(consts)
                 consts.append(constant)
-                if gids is not None:
-                    gids.append(interner.constant_id(constant))
                 alive.append(0)
         for constant in delta_constants:
             alive[local_of[constant]] = 1 if constant in refcounts else 0
@@ -254,29 +243,12 @@ class CompactInstance:
             in_[relation] = in_rel
             out_deg[relation] = deg
         return CompactInstance._assemble(
-            consts, local_of, gids, alive, out, out_deg, in_
+            consts, local_of, alive, out, out_deg, in_
         )
 
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
-
-    @property
-    def gids(self) -> "array":
-        """Process-wide interner ids of the constants, by local id.
-
-        Interned on first access and kept (a patched view extends them
-        only if its parent had them): the Claim 5 Datalog EDB encoder is
-        the one reader, so views that never meet it never touch the
-        interner.  Threads racing on the first access compute equal
-        arrays (interner ids never change), so no lock is needed.
-        """
-        gids = self._gids
-        if gids is None:
-            gids = self._gids = array(
-                "q", map(global_interner().constant_id, self.consts)
-            )
-        return gids
 
     def csr(self, relation: str) -> Tuple["array", "array", "array"]:
         """CSR-style edge arrays ``(block_keys, block_offsets, values)``.

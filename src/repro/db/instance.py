@@ -222,9 +222,9 @@ class DatabaseInstance:
         # tests/test_transport_contract.py): ship ONLY the facts.  The
         # indexes rebuild deterministically on the receiving side, and
         # the cached CompactInstance must NOT cross process boundaries
-        # (its interner ids are process-local) -- a receiver compiles its
-        # own compact view against its own interner and reaches the same
-        # answers.
+        # (it is a derived cache, as large as the facts) -- a receiver
+        # compiles its own compact view from the facts and reaches the
+        # same answers.
         return (DatabaseInstance, (tuple(self._facts),))
 
     def __str__(self) -> str:

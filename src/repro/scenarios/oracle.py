@@ -9,8 +9,8 @@ oracle therefore re-decides every answered request on the relevant
 
 * **brute force** (repair enumeration, the semantic definition) whenever
   the instance has at most *repair_limit* repairs;
-* the **object-plane SAT encoding** otherwise -- no interners, no
-  compact views, no incremental state, sound and complete for every
+* the **object-plane SAT encoding** otherwise -- no compact views, no
+  int-id kernels, no incremental state, sound and complete for every
   complexity class.
 
 The same oracle backs three consumers with one code path (so a bug in

@@ -15,13 +15,14 @@ implementations share the seam:
 
   - **residents ship once** as facts-only snapshots (the
     :meth:`~repro.db.instance.DatabaseInstance.__reduce__` contract:
-    no compact views, no interner ids cross the pipe -- the child
-    rebuilds its own view on first use); snapshots whose estimated
-    payload clears the transport's ``shm_threshold`` ship through a
+    no compact views cross the pipe -- the child rebuilds its own view
+    on first use); snapshots whose estimated payload clears the
+    transport's ``shm_threshold`` ship through a
     ``multiprocessing.shared_memory`` segment as flat snapshot-local
-    int arrays instead of a pickled frame (same facts-only contract,
-    enforced by bounds checks on decode), with the segment unlinked by
-    the parent once the batch -- including any crash retry -- resolves;
+    int arrays instead of a pickled frame (same facts-only contract;
+    the decoder checks every count and id and rejects a malformed
+    segment outright), with the segment unlinked by the parent once the
+    batch -- including any crash retry -- resolves;
   - **writes forward only the** :class:`~repro.db.delta.Delta`, and are
     **journaled ahead of dispatch**: registrations and deltas are
     recorded in the shard's journal (a
@@ -77,8 +78,8 @@ serve --stats``.
 
 The default process start method is ``spawn``: children begin from a
 fresh interpreter, which keeps the facts-only wire contract honest (a
-forked child would share the parent's interner pages) and avoids
-forking a multi-threaded server.  For ``spawn``, *engine_factory* must
+forked child would inherit the parent's cached views and plans) and
+avoids forking a multi-threaded server.  For ``spawn``, *engine_factory* must
 be picklable -- the :class:`~repro.engine.CertaintyEngine` class itself,
 or a ``functools.partial`` over it.
 
@@ -490,13 +491,13 @@ def _estimate_snapshot_bytes(db: DatabaseInstance) -> int:
 def _encode_snapshot(db: DatabaseInstance) -> bytes:
     """Flatten *db* into the facts-only shm wire format.
 
-    Layout: an 8-byte little-endian length, the pickled symbol tables
-    ``(relations, consts)``, then a flat ``array('q')`` stream of block
-    records ``rel_id, key_id, n_values, value_id...`` -- every id a
-    **snapshot-local** dense index into the shipped tables, never a
-    process-wide interner id (the same hygiene contract as
-    :meth:`DatabaseInstance.__reduce__`; ``_decode_snapshot`` rejects
-    any id outside the shipped tables).  Block records emit values in
+    Layout: two 8-byte little-endian counts (the pickled tables' length
+    and the stream's id count), the pickled symbol tables ``(relations,
+    consts)``, then a flat ``array('q')`` stream of block records
+    ``rel_id, key_id, n_values, value_id...``.  Every id is a
+    **snapshot-local** dense index into the shipped tables, handed out
+    in order of first use (the same facts-only contract as
+    :meth:`DatabaseInstance.__reduce__`).  Block records emit values in
     the parent's sorted block order, so the receiver can assemble
     presorted blocks without re-sorting.
     """
@@ -526,67 +527,106 @@ def _encode_snapshot(db: DatabaseInstance) -> bytes:
                 consts.append(fact.value)
             append(value_id)
     tables = pickle.dumps((rels, consts), protocol=pickle.HIGHEST_PROTOCOL)
-    return len(tables).to_bytes(8, "little") + tables + stream.tobytes()
+    return (
+        len(tables).to_bytes(8, "little")
+        + len(stream).to_bytes(8, "little")
+        + tables
+        + stream.tobytes()
+    )
 
 
 def _decode_snapshot(payload: bytes) -> DatabaseInstance:
     """Rebuild a :class:`DatabaseInstance` from the shm wire format.
 
-    Every id in the stream is bounds-checked against the shipped symbol
-    tables: an out-of-range id means the segment carries something other
-    than snapshot-local indexes (e.g. a process-wide interner id leaked
-    into the encoding) and the snapshot is rejected outright rather than
-    silently resolved against the receiver's interner.
+    The decoder trusts nothing in the payload: the header's counts must
+    account for every byte, every block record must fit in the stream,
+    every id must be a snapshot-local index handed out in first-use
+    order (so each table entry is used, and nothing else), and blocks
+    must be nonempty, distinct and sorted.  Any violation -- and any
+    failure to unpickle or unpack the tables -- raises
+    :class:`ShardTransportError`; a snapshot is never half-decoded.
     """
+    try:
+        return _decode_snapshot_checked(payload)
+    except Exception as exc:
+        raise ShardTransportError(
+            "malformed shm snapshot: {!r}".format(exc)
+        ) from exc
+
+
+def _decode_snapshot_checked(payload: bytes) -> DatabaseInstance:
     tables_len = int.from_bytes(payload[:8], "little")
-    rels, consts = pickle.loads(payload[8 : 8 + tables_len])
+    end = int.from_bytes(payload[8:16], "little")
+    if len(payload) != 16 + tables_len + 8 * end:
+        raise ValueError("length does not match the header")
+    rels, consts = pickle.loads(payload[16 : 16 + tables_len])
+    if type(rels) is not list or type(consts) is not list:
+        raise ValueError("symbol tables are not lists")
+    if not all(type(rel) is str and rel for rel in rels):
+        raise ValueError("relation names must be nonempty strings")
     stream = array("q")
-    stream.frombytes(payload[8 + tables_len :])
+    stream.frombytes(payload[16 + tables_len :])
     ids = stream.tolist()
     blocks: dict = {}
     out_index: dict = {}
     all_facts: list = []
     index = 0
-    end = len(ids)
-    n_consts = len(consts)
-    n_rels = len(rels)
+    # The next fresh relation / constant id: an id is either one seen
+    # before or exactly this one, which keeps every id in range.
+    next_rel = 0
+    next_const = 0
     presorted = Block.presorted
     extend = all_facts.extend
     new_fact = Fact.__new__
     while index < end:
+        if index + 3 > end:
+            raise ValueError("block header runs past the stream")
         rel_id = ids[index]
         key_id = ids[index + 1]
         count = ids[index + 2]
-        if not (0 <= rel_id < n_rels and 0 <= key_id < n_consts):
-            raise ShardTransportError(
-                "shm snapshot carries non-local ids (interner leak?)"
-            )
+        index += 3
+        if count < 1 or index + count > end:
+            raise ValueError("block size out of range")
+        if not 0 <= rel_id <= next_rel or not 0 <= key_id <= next_const:
+            raise ValueError("id outside the shipped tables")
+        if rel_id == next_rel:
+            next_rel += 1
+        if key_id == next_const:
+            next_const += 1
         rel = rels[rel_id]
         key = consts[key_id]
-        index += 3
+        block_id = (rel, key)
+        if block_id in blocks:
+            raise ValueError("duplicate block")
         values = ids[index : index + count]
         index += count
-        if values and not (0 <= min(values) and max(values) < n_consts):
-            raise ShardTransportError(
-                "shm snapshot carries non-local ids (interner leak?)"
-            )
         block_facts = []
         for value_id in values:
+            if not 0 <= value_id <= next_const:
+                raise ValueError("id outside the shipped tables")
+            if value_id == next_const:
+                next_const += 1
             fact = new_fact(Fact)
             state = fact.__dict__
             state["relation"] = rel
             state["key"] = key
             state["value"] = consts[value_id]
             block_facts.append(fact)
+        if count > 1:
+            order = [repr(consts[value_id]) for value_id in values]
+            if any(a >= b for a, b in zip(order, order[1:])):
+                raise ValueError("block values not sorted and distinct")
         facts = tuple(block_facts)
-        block_id = (rel, key)
         blocks[block_id] = presorted(block_id, facts)
         out_index[(key, rel)] = facts
         extend(facts)
-    # Every symbol-table entry is referenced by construction (encode
-    # interns on first use), so the tables are exactly the active domain.
+    if next_rel != len(rels) or next_const != len(consts):
+        raise ValueError("unused symbol-table entries")
+    fact_set = frozenset(all_facts)
+    if len(fact_set) != len(all_facts):
+        raise ValueError("duplicate facts")
     return DatabaseInstance._from_parts(
-        frozenset(all_facts), blocks, frozenset(consts), out_index
+        fact_set, blocks, frozenset(consts), out_index
     )
 
 

@@ -56,7 +56,8 @@ def certain_answer_nl(
     *program* may carry the precompiled Claim 5 program for *q*, and
     *compiled* its compact-engine compilation (compiled plans pass both;
     ad-hoc callers hit the module caches).  The program runs on the
-    compact engine over the interned EDB of ``db.compact()``.
+    compact engine over the EDB of ``db.compact()``, in the view's own
+    local ids.
 
     >>> db = DatabaseInstance.from_triples(
     ...     [("R", 0, 1), ("R", 1, 2), ("R", 2, 3), ("R", 3, 4), ("X", 4, 5)])
@@ -68,18 +69,16 @@ def certain_answer_nl(
     view = db.compact()
     if compiled is None:
         compiled = compact_program(cqa.program)
+    if compiled.constants:
+        raise ValueError("Claim 5 programs must have no rule constants")
     relations = compiled.evaluate(instance_edb_compact(view))
-    o_gids = {row[0] for row in relations.get("o", ())}
-    gids = view.gids
+    o_lids = {row[0] for row in relations.get("o", ())}
     consts = view.consts
-    witnesses = sorted(
-        (consts[lid] for lid in view.alive_lids() if gids[lid] not in o_gids),
-        key=str,
-    )
+    witnesses = [consts[lid] for lid in view.alive_lids() if lid not in o_lids]
     details = {
         "decomposition": str(cqa.parts),
         "program_rules": len(cqa.program),
-        "o_size": len(o_gids),
+        "o_size": len(o_lids),
     }
     repair = None
     if not witnesses:
@@ -91,7 +90,7 @@ def certain_answer_nl(
         query=str(q),
         answer=bool(witnesses),
         method="nl",
-        witness_constant=witnesses[0] if witnesses else None,
+        witness_constant=min(witnesses, key=str) if witnesses else None,
         falsifying_repair=repair,
         details=details,
     )

@@ -22,6 +22,8 @@ import random
 import pytest
 
 from repro.classification.conditions import satisfies_c1, satisfies_c3
+from repro.db.facts import Fact
+from repro.db.instance import DatabaseInstance
 from repro.db.repairs import count_repairs
 from repro.engine import CertaintyEngine
 from repro.solvers.brute_force import certain_answer_brute_force
@@ -188,6 +190,18 @@ def _nl_inputs(query):
     return [db for db in instances if count_repairs(db) <= REPAIR_LIMIT]
 
 
+def _relabeled(db):
+    """*db* with every constant ``c`` renamed to ``(c, "t")``, or to
+    ``(c,)`` when ``c`` is odd: an injective renaming onto tuple
+    constants of two shapes."""
+    def rename(c):
+        return (c,) if isinstance(c, int) and c % 2 else (c, "t")
+
+    return DatabaseInstance(
+        Fact(f.relation, rename(f.key), rename(f.value)) for f in db.facts
+    )
+
+
 class TestNlAutoRoute:
     """``auto`` decides NL-complete queries with the Figure 5 fixpoint.
 
@@ -207,6 +221,13 @@ class TestNlAutoRoute:
             truth = certain_answer_brute_force(db, query).answer
             assert auto.answer == truth, (query, db)
             assert engine.solve(db, query, method="nl").answer == truth
+            # Renamed constants (ints and tuples mixed) change no answer.
+            relabeled = _relabeled(db)
+            assert (
+                engine.solve(relabeled, query, method="nl").answer
+                == engine.solve(relabeled, query).answer
+                == truth
+            )
             if not auto.answer:
                 assert auto.falsifying_repair.is_repair_of(db)
             answers.add(truth)

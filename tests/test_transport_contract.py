@@ -4,17 +4,21 @@ The :class:`~repro.serving.transport.ProcessTransport` (and the engine's
 worker pools) depend on two pickling contracts:
 
 * :meth:`repro.db.instance.DatabaseInstance.__reduce__` ships **facts
-  only** -- no compact views, no process-local interner ids cross the
-  wire; the receiver rebuilds indexes and compiles its *own* compact
-  view against its *own* interner and reaches identical answers;
+  only** -- no compact views or cached kernel plans cross the wire; the
+  receiver rebuilds indexes and compiles its *own* compact view and
+  reaches identical answers;
 * :class:`repro.solvers.result.LazyMinimalRepair` survives the hop
   **unresolved** -- the O(db) Lemma 9 construction is not forced at
   pickle time, and resolving it on the receiving side yields the same
   repair the sender would have built.
 
 These tests round-trip real payloads through a fresh interpreter (a
-``subprocess``, not a fork -- a forked child would share the parent's
-interner pages and prove nothing).
+``subprocess``, not a fork -- a forked child would inherit the parent's
+cached views and prove nothing).
+
+The shm snapshot codec is also fuzzed: every malformed stream must be
+rejected with :class:`~repro.serving.transport.ShardTransportError`,
+never hang, crash otherwise or decode half an instance.
 """
 
 import glob
@@ -26,9 +30,9 @@ from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.db.instance import DatabaseInstance
-from repro.db.interner import global_interner
 from repro.engine import CertaintyEngine
 from repro.serving import ShardRequest
 from repro.serving.transport import (
@@ -72,7 +76,7 @@ view = db.compact()
 report["compact_n"] = view.n
 report["compact_relations"] = view.relations
 # Resolving here runs the Lemma 9 construction against the *child's*
-# own compact view and interner.
+# own compact view.
 repair = result.falsifying_repair
 report["repair_facts"] = sorted(
     (f.relation, f.key, f.value) for f in repair.facts
@@ -105,7 +109,7 @@ def _roundtrip_through_fresh_interpreter(tmp_path, payload):
 def test_child_rebuilds_identical_view_and_answers(tmp_path):
     db = chain_instance("RRX", repetitions=4, conflict_every=3)
     # Force the parent-side caches the wire must NOT carry: the compact
-    # view (interned ids) and the engine's per-instance state.
+    # view (local ids, kernel plans) and the engine's per-instance state.
     parent_view = db.compact()
     engine = CertaintyEngine()
     parent_answers = [engine.solve(db, q).answer for q in QUERIES]
@@ -120,9 +124,8 @@ def test_child_rebuilds_identical_view_and_answers(tmp_path):
 
     payload = {"db": db, "queries": QUERIES, "result": result}
     wire = pickle.dumps(payload)
-    # Facts-only on the wire: neither the compact module nor the
-    # interner module is referenced by the pickle stream.
-    assert b"interner" not in wire
+    # Facts-only on the wire: the compact module is not referenced by
+    # the pickle stream.
     assert b"compact" not in wire
     # ... and pickling did not force the certificate.
     assert result.has_lazy_repair
@@ -216,23 +219,19 @@ def test_lazy_minimal_repair_reduce_is_data_only():
 def _snapshot_stream(payload):
     """Split an encoded snapshot into its symbol tables and id stream."""
     tables_len = int.from_bytes(payload[:8], "little")
-    rels, consts = pickle.loads(payload[8 : 8 + tables_len])
+    n_ids = int.from_bytes(payload[8:16], "little")
+    rels, consts = pickle.loads(payload[16 : 16 + tables_len])
     stream = array("q")
-    stream.frombytes(payload[8 + tables_len :])
+    stream.frombytes(payload[16 + tables_len :])
+    assert len(stream) == n_ids
     return rels, consts, stream.tolist()
 
 
-def test_shm_snapshot_ids_are_snapshot_local_not_interner_ids():
-    """Every id in the shm stream indexes the shipped tables.
-
-    The process-wide interner is deliberately pushed far past any dense
-    snapshot-local index first: had the encoder leaked interner ids, the
-    stream would carry values >= the junk floor and the walk would trip.
-    """
-    for i in range(10_000):
-        global_interner().constant_id(("junk-gid", i))
+def test_shm_snapshot_ids_are_snapshot_local():
+    """Every id in the shm stream indexes the shipped tables, and the
+    view's local ids of the encoded instance play no part in it."""
     db = chain_instance("RRX", repetitions=40, conflict_every=3)
-    db.compact()  # interns this instance's constants process-wide too
+    db.compact()
     payload = _encode_snapshot(db)
     rels, consts, ids = _snapshot_stream(payload)
     index = 0
@@ -243,26 +242,142 @@ def test_shm_snapshot_ids_are_snapshot_local_not_interner_ids():
         for value_id in ids[index + 3 : index + 3 + count]:
             assert 0 <= value_id < len(consts)
         index += 3 + count
+    assert index == len(ids)
     decoded = _decode_snapshot(payload)
     assert decoded.facts == db.facts
     assert decoded.adom() == db.adom()
     assert decoded._out_index == db._out_index
 
 
-@pytest.mark.parametrize("slot", [1, 3])
-def test_shm_decode_rejects_foreign_ids(slot):
-    """An id outside the shipped tables (an interner leak) is rejected
-    outright -- never resolved against the receiver's interner."""
-    db = DatabaseInstance.from_triples([("R", 0, 1), ("R", 1, 2)])
-    payload = _encode_snapshot(db)
-    tables_len = int.from_bytes(payload[:8], "little")
-    head = payload[: 8 + tables_len]
-    stream = array("q")
-    stream.frombytes(payload[8 + tables_len :])
-    ids = stream.tolist()
-    ids[slot] = 987_654  # where a snapshot-local key/value id belongs
+#: Blocks R(0,*) = {1, 2} and X(1,*) = {3}, and their shm stream as
+#: the encoder writes it when R's block comes first.
+_SMALL = DatabaseInstance.from_triples([("R", 0, 1), ("R", 0, 2), ("X", 1, 3)])
+_SMALL_TABLES = (["R", "X"], [0, 1, 2, 3])
+_SMALL_IDS = [0, 0, 2, 1, 2, 1, 1, 1, 3]
+
+
+def _payload(ids=_SMALL_IDS, tables=_SMALL_TABLES):
+    """An shm payload with the given id stream, the header kept honest."""
+    pickled = pickle.dumps(tables)
+    return (
+        len(pickled).to_bytes(8, "little")
+        + len(ids).to_bytes(8, "little")
+        + pickled
+        + array("q", ids).tobytes()
+    )
+
+
+def _set_id(slot, value):
+    def mutate(payload):
+        ids = list(_SMALL_IDS)
+        ids[slot] = value
+        return _payload(ids)
+
+    return mutate
+
+
+def _stream_prefix(n_ids):
+    return lambda payload: _payload(_SMALL_IDS[:n_ids])
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # Foreign ids where a snapshot-local key / value id belongs.
+        pytest.param(_set_id(1, 987_654), id="1"),
+        pytest.param(_set_id(3, 987_654), id="3"),
+        pytest.param(_set_id(3, -1), id="negative-value"),
+        # The count slot: negative, past the end, empty, and swallowing
+        # the next block's header.
+        pytest.param(_set_id(2, -1), id="count-negative"),
+        pytest.param(_set_id(2, 1 << 40), id="count-overrun"),
+        pytest.param(_set_id(2, 0), id="count-zero"),
+        pytest.param(_set_id(2, 6), id="count-swallows-block"),
+        # A repeated value id, and a block repeated under the same key.
+        pytest.param(_set_id(4, 1), id="duplicate-value"),
+        pytest.param(_set_id(5, 0), id="duplicate-block"),
+        # Streams cut at a block boundary and inside a header, with the
+        # header's id count rewritten to match the cut.
+        pytest.param(_stream_prefix(5), id="cut-at-block"),
+        pytest.param(_stream_prefix(7), id="cut-in-header"),
+        # Raw truncations and an unaligned stream.
+        pytest.param(lambda p: p[:-8], id="truncated-stream"),
+        pytest.param(lambda p: p[:12], id="truncated-header"),
+        pytest.param(lambda p: p[:-3], id="unaligned"),
+        pytest.param(lambda p: p + b"\0", id="trailing-byte"),
+        # Tables that do not unpickle, or unpack to the wrong shape.
+        pytest.param(
+            lambda p: p[:16] + b"\xff" * (len(p) - 16), id="bad-tables"
+        ),
+        pytest.param(
+            lambda p: _payload(tables=["R", "X"]), id="tables-not-a-pair"
+        ),
+        pytest.param(
+            lambda p: _payload(tables=(["R", "X"], [0, 1, 2, 3, 4])),
+            id="unused-constant",
+        ),
+    ],
+)
+def test_shm_decode_rejects_foreign_ids(mutate):
+    """A stream that is not exactly what the encoder writes is rejected
+    outright -- never looped on, half decoded or resolved anyway."""
+    payload = _payload()
+    assert _decode_snapshot(payload)._out_index == _SMALL._out_index
     with pytest.raises(ShardTransportError):
-        _decode_snapshot(head + array("q", ids).tobytes())
+        _decode_snapshot(mutate(payload))
+
+
+@pytest.mark.parametrize("payload", [_payload(), _encode_snapshot(_SMALL)])
+def test_shm_decode_rejects_every_strict_prefix(payload):
+    assert _decode_snapshot(payload).facts == _SMALL.facts
+    for end in range(len(payload)):
+        with pytest.raises(ShardTransportError):
+            _decode_snapshot(payload[:end])
+
+
+_FUZZ_INSTANCES = [
+    _SMALL,
+    DatabaseInstance.from_triples(
+        [("R", "a", 1), ("R", "a", (1,)), ("R", "a", "1"), ("X", 1, "a")]
+    ),
+    chain_instance("RXRX", repetitions=2, conflict_every=1),
+]
+
+
+def _assert_rejected_or_consistent(payload):
+    try:
+        decoded = _decode_snapshot(payload)
+    except ShardTransportError:
+        return
+    assert decoded._out_index == DatabaseInstance(decoded.facts)._out_index
+
+
+@settings(max_examples=300, deadline=1000)
+@given(
+    st.sampled_from(_FUZZ_INSTANCES),
+    st.data(),
+)
+def test_shm_decode_fuzz(db, data):
+    """Truncations, bit flips and random bytes: each decodes to a
+    self-consistent instance or raises ShardTransportError."""
+    payload = _encode_snapshot(db)
+    kind = data.draw(st.sampled_from(["truncate", "flip", "random"]))
+    if kind == "truncate":
+        end = data.draw(st.integers(0, len(payload) - 1))
+        with pytest.raises(ShardTransportError):
+            _decode_snapshot(payload[:end])
+        return
+    if kind == "flip":
+        mutated = bytearray(payload)
+        for bit in data.draw(
+            st.lists(st.integers(0, 8 * len(payload) - 1), min_size=1,
+                     max_size=4)
+        ):
+            mutated[bit // 8] ^= 1 << (bit % 8)
+        payload = bytes(mutated)
+    else:
+        payload = data.draw(st.binary(max_size=256))
+    _assert_rejected_or_consistent(payload)
 
 
 def test_shm_register_round_trip_and_segment_cleanup():
