@@ -16,8 +16,9 @@ query word (generalized queries by the query itself), per-engine counters
 * ``solve_delta(db, delta, query)`` -- CERTAINTY on ``db`` with a
   :class:`~repro.db.delta.Delta` applied, served by incrementally
   maintaining the cached :class:`~repro.solvers.fixpoint.FixpointState`
-  instead of re-solving from scratch (per-engine stats count incremental
-  hits vs full re-solves).
+  instead of re-solving from scratch; a delta with no effective edit
+  returns the answer stored on the state (per-engine stats count
+  incremental hits vs full re-solves).
 
 ``certain_answer`` is a thin shim over the process-wide
 :func:`default_engine`, so library users get plan caching for free;
@@ -49,9 +50,10 @@ The *state* cache (incremental :class:`FixpointState`\\ s keyed by
 ``(plan key, instance)``) lives in a separate
 :class:`~repro.solvers.state_cache.StateCache` with checkout semantics
 -- see that module for its contract.  ``solve_delta`` checks a state
-out, folds the delta in, reads the answer, and only then publishes the
-state back under the updated instance's key, so a state observable in
-the cache is never mid-mutation.
+out, folds the delta in, decides, stores the final answer on the state,
+and only then publishes it back under the updated instance's key, so a
+state observable in the cache is never mid-mutation and its stored
+answer always belongs to the instance it is keyed under.
 """
 
 from __future__ import annotations
@@ -398,8 +400,15 @@ class CertaintyEngine:
         keeps segment verdicts and the ``ext(q)`` fixpoint alive), and
         coNP "yes" re-solves reuse a cached assumption-keyed SAT context
         (``stats.sat_incremental_hits`` / ``stats.sat_clauses_reused``)
-        instead of re-encoding.  ``stats.incremental_hits`` counts
-        decisions served from a maintained state;
+        instead of re-encoding.
+
+        Each maintained state stores the final answer for its instance.
+        A call whose delta has no effective edit (the overlay commits to
+        *db* itself) is a lookup: it returns a fresh copy of that answer
+        without touching the fixpoint, the witness or SAT, so SAT runs
+        only on effective edits.  ``stats.incremental_hits`` counts
+        decisions served from a maintained state, stored answers
+        included;
         ``stats.full_resolves`` counts fallbacks (first sight of an
         instance and forced non-auto methods).  To chain updates, apply the
         same delta on the caller side (``delta.apply_to(db).commit()``)
@@ -419,22 +428,11 @@ class CertaintyEngine:
         self.stats.delta_solves += 1
 
         plan = self.compile(query)
-        if (
-            method == "auto"
-            and isinstance(plan, CompiledGeneralizedQuery)
-        ):
-            return self._solve_delta_generalized(
-                db, overlay, new_db, plan, start
-            )
-        incremental = (
-            method == "auto"
-            and isinstance(plan, CompiledQuery)
-            and len(plan.word) > 0
-        )
-        if not incremental:
+        generalized = isinstance(plan, CompiledGeneralizedQuery)
+        if method != "auto" or not (generalized or len(plan.word) > 0):
             result = (
                 plan.solve(new_db, method=method, solve_word=self._solve_word)
-                if isinstance(plan, CompiledGeneralizedQuery)
+                if generalized
                 else plan.solve(new_db, method=method)
             )
             result.details["incremental"] = False
@@ -444,6 +442,21 @@ class CertaintyEngine:
 
         key = self._cache_key(query)
         state = self.state_cache.take((key, db))
+        stored = state.result if state is not None else None
+        if stored is not None and new_db is db:
+            # No effective edit: the stored answer is the one a re-solve
+            # would reach.  Each read gets its own copy, since callers
+            # strip certificates and write ``details`` in place.
+            self.state_cache.put((key, db), state)
+            result = stored.copy()
+            result.details["incremental"] = True
+            self.stats.incremental_hits += 1
+            self.stats.record(result, time.perf_counter() - start)
+            return result
+        if generalized:
+            return self._solve_delta_generalized(
+                overlay, new_db, plan, key, state, start
+            )
         fresh_state = state is None
         if fresh_state:
             state = FixpointState.compute(new_db, plan.word, tables=plan.tables)
@@ -456,10 +469,6 @@ class CertaintyEngine:
         result = certain_answer_incremental(
             state, require_c3=False, is_c3=is_c3
         )
-        # Publish only after the answer has been read off the state: a
-        # concurrent solve_delta checking the entry out would mutate it
-        # in place while certain_answer_incremental iterates it.
-        self.state_cache.put((key, new_db), state)
         if not is_c3 and result.answer:
             # C3-violating query and the pre-filter did not dismiss it:
             # the maintained "yes" is unsound, re-solve via SAT -- through
@@ -502,15 +511,21 @@ class CertaintyEngine:
             else:
                 self.stats.incremental_hits += 1
         result.details["complexity"] = str(plan.complexity)
+        # Publish only once the final answer is stored: a concurrent
+        # solve_delta could otherwise check the state out and advance it
+        # to another instance before this answer lands on it.
+        state.result = result.copy()
+        self.state_cache.put((key, new_db), state)
         self.stats.record(result, time.perf_counter() - start)
         return result
 
     def _solve_delta_generalized(
         self,
-        db: DatabaseInstance,
         overlay: DeltaInstance,
         new_db: DatabaseInstance,
         plan: CompiledGeneralizedQuery,
+        key: Hashable,
+        state: Optional[GeneralizedState],
         start: float,
     ) -> CertaintyResult:
         """The maintained route for constant-carrying generalized queries.
@@ -521,8 +536,6 @@ class CertaintyEngine:
         delta touches are re-checked, and the ``ext(q)`` decision folds
         the delta into its maintained :class:`FixpointState`.
         """
-        key = self._cache_key(plan.query)
-        state = self.state_cache.take((key, db))
         fresh_state = state is None
         inner_plan = (
             self.compile(plan.ext_word) if plan.ext_word is not None else None
@@ -533,9 +546,10 @@ class CertaintyEngine:
             state.apply_delta(
                 new_db, overlay.added_facts, overlay.removed_facts
             )
-        result = state.result()
-        self.state_cache.put((key, new_db), state)
+        result = state.verdict()
         result.details["incremental"] = not fresh_state
+        state.result = result.copy()
+        self.state_cache.put((key, new_db), state)
         if fresh_state:
             self.stats.full_resolves += 1
         else:

@@ -99,6 +99,7 @@ import multiprocessing
 import os
 import pickle
 import time
+import zlib
 from array import array
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -493,8 +494,11 @@ def _encode_snapshot(db: DatabaseInstance) -> bytes:
 
     Layout: two 8-byte little-endian counts (the pickled tables' length
     and the stream's id count), the pickled symbol tables ``(relations,
-    consts)``, then a flat ``array('q')`` stream of block records
-    ``rel_id, key_id, n_values, value_id...``.  Every id is a
+    consts)``, a flat ``array('q')`` stream of block records ``rel_id,
+    key_id, n_values, value_id...``, then the little-endian crc32 of
+    everything before it (4 bytes), as journal records carry one, so
+    damage in transit is caught before anything is unpickled.  Every id
+    is a
     **snapshot-local** dense index into the shipped tables, handed out
     in order of first use (the same facts-only contract as
     :meth:`DatabaseInstance.__reduce__`).  Block records emit values in
@@ -527,18 +531,20 @@ def _encode_snapshot(db: DatabaseInstance) -> bytes:
                 consts.append(fact.value)
             append(value_id)
     tables = pickle.dumps((rels, consts), protocol=pickle.HIGHEST_PROTOCOL)
-    return (
+    body = (
         len(tables).to_bytes(8, "little")
         + len(stream).to_bytes(8, "little")
         + tables
         + stream.tobytes()
     )
+    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def _decode_snapshot(payload: bytes) -> DatabaseInstance:
     """Rebuild a :class:`DatabaseInstance` from the shm wire format.
 
-    The decoder trusts nothing in the payload: the header's counts must
+    The decoder trusts nothing in the payload: the frame's checksum must
+    match before the body is read at all, the header's counts must
     account for every byte, every block record must fit in the stream,
     every id must be a snapshot-local index handed out in first-use
     order (so each table entry is used, and nothing else), and blocks
@@ -554,7 +560,12 @@ def _decode_snapshot(payload: bytes) -> DatabaseInstance:
         ) from exc
 
 
-def _decode_snapshot_checked(payload: bytes) -> DatabaseInstance:
+def _decode_snapshot_checked(framed: bytes) -> DatabaseInstance:
+    payload = framed[:-4]
+    if len(framed) < 4 or zlib.crc32(payload) != int.from_bytes(
+        framed[-4:], "little"
+    ):
+        raise ValueError("checksum mismatch")
     tables_len = int.from_bytes(payload[:8], "little")
     end = int.from_bytes(payload[8:16], "little")
     if len(payload) != 16 + tables_len + 8 * end:

@@ -62,13 +62,18 @@ Callers must uphold, and may rely on, the following:
   complete for every path query, independent of C3 (the differential
   tests in ``tests/test_incremental.py`` and ``tests/test_compact.py``
   pin this).
-* ``starts`` is the maintained witness set ``{c : (c, ε) ∈ N}``; answer
-  reads are O(1) set probes and never scan the domain.
+* ``starts`` is the maintained witness set ``{c : (c, ε) ∈ N}``, and
+  ``witness`` its ``str``-least member, kept as a cached minimum: an
+  arriving start is compared against it, and only the departure of the
+  minimum itself leaves a rescan for the next read.  Answer reads never
+  scan the domain.
+* ``result`` holds the engine's final answer for ``db`` (``None`` until
+  the engine stores one); ``apply_delta`` clears it.
 * The state is **single-owner**: ``apply_delta`` mutates in place with
   no internal locking.  The engine enforces ownership by checking
   states out of its :class:`~repro.solvers.state_cache.StateCache`
   (checkout semantics) and re-publishing them only after the answer has
-  been read; shard workers get ownership for free from their
+  been stored; shard workers get ownership for free from their
   single-threaded execution loop.
 """
 
@@ -397,6 +402,9 @@ class FixpointState:
         "query",
         "tables",
         "starts",
+        "result",
+        "_witness",
+        "_witness_stale",
         "_consts",
         "_local_of",
         "_stride",
@@ -427,6 +435,15 @@ class FixpointState:
         #: Constants c with (c, ε) ∈ N -- the certainty witnesses (Lemma
         #: 7), maintained so answers need no domain scan.
         self.starts: Set[Hashable] = set(n_bits.start_constants())
+        self._witness: Optional[Hashable] = min(
+            self.starts, key=str, default=None
+        )
+        # Stale: the minimum left ``starts``; ``_witness`` is then still
+        # a lower bound (by ``str``) of every start present since.
+        self._witness_stale = False
+        #: The engine's final answer for ``db``, kept so a read with no
+        #: effective edit is a lookup; cleared by every delta.
+        self.result: Optional[CertaintyResult] = None
         # Mutable per-symbol adjacency over local ids, restricted to the
         # query's alphabet (the only relations the Figure 5 rules read).
         self._in: Dict[str, Dict[int, Set[int]]] = {}
@@ -490,6 +507,31 @@ class FixpointState:
             if bit
         }
 
+    @property
+    def witness(self) -> Optional[Hashable]:
+        """A ``str``-least member of ``starts``, or ``None`` if empty."""
+        if self._witness_stale:
+            self._witness = min(self.starts, key=str, default=None)
+            self._witness_stale = False
+        return self._witness
+
+    def _add_start(self, constant: Hashable) -> None:
+        self.starts.add(constant)
+        witness = self._witness
+        if witness is None:
+            self._witness = constant
+            return
+        key, least = str(constant), str(witness)
+        if key < least or (self._witness_stale and key == least):
+            # Below the bound every other start respects: the new least.
+            self._witness = constant
+            self._witness_stale = False
+
+    def _discard_start(self, constant: Hashable) -> None:
+        self.starts.discard(constant)
+        if not self._witness_stale and constant == self._witness:
+            self._witness_stale = True
+
     def _ensure(self, constant: Hashable) -> int:
         lid = self._local_of.get(constant)
         if lid is None:
@@ -515,6 +557,7 @@ class FixpointState:
         to *new_db* (as produced by
         :class:`repro.db.delta.DeltaInstance`).
         """
+        self.result = None
         added = list(added)
         removed = list(removed)
         q = self.query
@@ -543,11 +586,11 @@ class FixpointState:
                 if here and not bits[lid]:
                     bits[lid] = 1
                     self._count += 1
-                    self.starts.add(constant)
+                    self._add_start(constant)
                 elif not here and bits[lid]:
                     bits[lid] = 0
                     self._count -= 1
-                    self.starts.discard(constant)
+                    self._discard_start(constant)
             self.db = new_db
             return
 
@@ -603,7 +646,7 @@ class FixpointState:
         for p in suspects:
             bits[p] = 0
             if p % stride == 0:
-                self.starts.discard(consts[p // stride])
+                self._discard_start(consts[p // stride])
         self._count -= len(suspects)
 
         # --- Switch the index and db over to the new instance. ---------
@@ -620,7 +663,7 @@ class FixpointState:
             bits[p] = 1
             self._count += 1
             if p % stride == 0:
-                self.starts.add(consts[p // stride])
+                self._add_start(consts[p // stride])
             push(p)
 
         def derive(c: int, length: int) -> None:
@@ -724,7 +767,7 @@ def certain_answer_incremental(
         require_c3=require_c3,
         is_c3=is_c3,
         method="fixpoint-incremental",
-        starts=state.starts,
+        witness=state.witness,
     )
 
 
@@ -807,7 +850,8 @@ def certain_answer_fixpoint(
     n_relation = fixpoint_bits(db, q, tables=tables)
     return _result_from_relation(
         db, q, tables, n_relation, require_c3, is_c3,
-        method="fixpoint", starts=set(n_relation.start_constants()),
+        method="fixpoint",
+        witness=min(n_relation.start_constants(), key=str, default=None),
     )
 
 
@@ -819,14 +863,14 @@ def _result_from_relation(
     require_c3: bool,
     is_c3: Optional[bool],
     method: str,
-    starts: Set[Hashable],
+    witness: Optional[Hashable],
 ) -> CertaintyResult:
     """Shared answer construction for the fresh and incremental paths.
 
-    *n_relation* is any ``N`` view supporting ``len``; *starts* is the
-    witness set ``{c : (c, ε) ∈ N}``.
+    *n_relation* is any ``N`` view supporting ``len``; *witness* is a
+    ``str``-least member of the witness set ``{c : (c, ε) ∈ N}``
+    (``None`` when it is empty).
     """
-    witness = min(starts, key=str) if starts else None
     details: Dict[str, object] = {"n_size": len(n_relation)}
     if witness is not None:
         if is_c3 is None:

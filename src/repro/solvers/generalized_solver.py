@@ -91,10 +91,10 @@ class GeneralizedState:
     >>> inner = CompiledQuery(plan.ext_word)
     >>> db = DatabaseInstance.from_triples([("R", "a", "b"), ("S", "b", "t")])
     >>> state = GeneralizedState.compute(db, plan, inner)
-    >>> state.result().answer
+    >>> state.verdict().answer
     True
     >>> wide = db.with_facts([Fact("S", "b", "u")])    # S(b,.) block forks
-    >>> state.apply_delta(wide, [Fact("S", "b", "u")], []).result().answer
+    >>> state.apply_delta(wide, [Fact("S", "b", "u")], []).verdict().answer
     False
     """
 
@@ -111,9 +111,13 @@ class GeneralizedState:
         "_inner_answer",
         "_inner_method",
         "_inner_witness",
+        "result",
     )
 
     def __init__(self, db: DatabaseInstance, plan, inner_plan) -> None:
+        #: The engine's final answer for ``db``, kept so a read with no
+        #: effective edit is a lookup; cleared by every delta.
+        self.result: Optional[CertaintyResult] = None
         self.plan = plan
         self.inner_plan = inner_plan
         self.segment_alphabet: Tuple[frozenset, ...] = tuple(
@@ -181,6 +185,7 @@ class GeneralizedState:
         removed: Iterable[Fact],
     ) -> "GeneralizedState":
         """Fold a committed delta in; *new_db* is the post-delta instance."""
+        self.result = None
         added = list(added)
         removed = list(removed)
         touched = {fact.relation for fact in added} | {
@@ -213,7 +218,7 @@ class GeneralizedState:
         self.db = new_db
         return self
 
-    def result(self) -> CertaintyResult:
+    def verdict(self) -> CertaintyResult:
         """The current CERTAINTY(q) verdict as a fresh result object."""
         query_str = str(self.plan.query)
         for ok, segment in zip(self.segment_ok, self.plan.segments):

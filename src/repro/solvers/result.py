@@ -97,6 +97,22 @@ class CertaintyResult:
         """True iff the certificate exists but has not been built yet."""
         return callable(self._repair_source)
 
+    def copy(self) -> "CertaintyResult":
+        """A shallow copy with its own ``details`` dict.
+
+        The certificate source is shared, so a lazy certificate stays
+        lazy in both; resolving or stripping one copy leaves the other
+        as it was.
+        """
+        return CertaintyResult(
+            self.query,
+            self.answer,
+            self.method,
+            self.witness_constant,
+            self._repair_source,
+            dict(self.details),
+        )
+
     def strip(self) -> "CertaintyResult":
         """Drop the falsifying-repair certificate; returns ``self``.
 

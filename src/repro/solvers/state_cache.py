@@ -84,22 +84,6 @@ class StateCache:
                 self.hits += 1
             return state
 
-    def peek(self, key: Hashable) -> Optional[object]:
-        """Read the state for *key* without checking it out.
-
-        Refreshes the entry's LRU position but leaves it cached; safe
-        only when the caller will not mutate the state (answer reads).
-        Counts toward hits/misses like :meth:`take`.
-        """
-        with self._lock:
-            state = self._entries.get(key)
-            if state is None:
-                self.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            return state
-
     def put(self, key: Hashable, state: object) -> None:
         """Publish *state* under *key*, evicting LRU entries beyond bound."""
         if self.max_size == 0:

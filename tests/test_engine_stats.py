@@ -12,6 +12,7 @@ import pytest
 from repro.db.delta import Delta
 from repro.db.facts import Fact
 from repro.engine import CertaintyEngine
+from repro.solvers.sat_encoding import IncrementalSatContext
 from repro.workloads.generators import chain_instance
 
 MIXED = ["RXRX", "RRX", "RXRYRY", "ARRX"]
@@ -86,26 +87,47 @@ class TestDeltaAccountingUnderBatches:
         assert engine.stats.incremental_hits == 4
         assert engine.stats.full_resolves == 1
 
-    def test_conp_fallback_counts_as_full_resolve(self):
+    def test_conp_fallback_counts_as_full_resolve(self, monkeypatch):
         engine = CertaintyEngine()
         # A consistent ARRX chain: certainty holds, so the incremental
-        # pre-filter cannot dismiss it and every delta decision re-solves
-        # via SAT.  First sight builds the CNF context (a full resolve);
-        # the warm step re-solves through the cached assumption-keyed
-        # context and counts as a SAT-incremental hit, keeping the
-        # invariant intact.
+        # pre-filter cannot dismiss it and every effective delta
+        # re-solves via SAT.  First sight builds the CNF context (a full
+        # resolve); an effective delta re-solves through the cached
+        # assumption-keyed context and counts as a SAT-incremental hit,
+        # keeping the invariant intact.
         db = chain_instance("ARRX", repetitions=2)
         cold = engine.solve_delta(db, Delta(), "ARRX")
         assert cold.answer is True
         assert cold.method == "sat-incremental"
         assert cold.details["incremental"] is False
         assert engine.stats.full_resolves == 1
-        result = engine.solve_delta(db, Delta(), "ARRX")
+        edit = Delta.inserting(("X", 900, 901))
+        result = engine.solve_delta(db, edit, "ARRX")
         assert result.answer is True
         assert result.method == "sat-incremental"
         assert result.details["incremental"] is True
         assert engine.stats.delta_solves == 2
         assert engine.stats.full_resolves == 1
+        assert engine.stats.sat_incremental_hits == 1
+        _assert_delta_invariant(engine)
+
+        # Reads with no effective edit return the stored answer: no SAT.
+        db = edit.apply_to(db).commit()
+        solves = []
+        original = IncrementalSatContext.solve
+        monkeypatch.setattr(
+            IncrementalSatContext,
+            "solve",
+            lambda ctx: solves.append(ctx) or original(ctx),
+        )
+        for _ in range(3):
+            read = engine.solve_delta(db, Delta(), "ARRX")
+            assert read.answer is True
+            assert read.method == "sat-incremental"
+            assert read.details["incremental"] is True
+        assert solves == []
+        assert engine.stats.delta_solves == 5
+        assert engine.stats.incremental_hits == 4
         assert engine.stats.sat_incremental_hits == 1
         _assert_delta_invariant(engine)
 

@@ -13,6 +13,8 @@ sequences:
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -21,8 +23,10 @@ from repro.datalog.engine import evaluate_program, evaluate_program_naive
 from repro.db.delta import Delta, DeltaInstance
 from repro.db.facts import Fact
 from repro.db.instance import DatabaseInstance
+from repro.db.repairs import count_repairs
 from repro.engine import CertaintyEngine
 from repro.queries.generalized import GeneralizedPathQuery
+from repro.solvers.brute_force import certain_answer_brute_force
 from repro.solvers.fixpoint import (
     FixpointState,
     certain_answer_incremental,
@@ -33,6 +37,7 @@ from repro.solvers.sat_encoding import (
     certain_answer_sat,
 )
 from repro.workloads.generators import (
+    chain_instance,
     hardness_gadget_instance,
     random_instance,
 )
@@ -134,6 +139,31 @@ class TestFixpointStateDifferential:
                 new_db, overlay.added_facts, overlay.removed_facts
             )
             assert state.n_set == fixpoint_relation(new_db, "RR")
+
+
+class TestMaintainedWitness:
+    """The cached str-least start must equal a rescan after every step."""
+
+    @pytest.mark.parametrize("query,_cls", CLASS_QUERIES)
+    def test_witness_is_least_start(self, query, _cls):
+        rng = random.Random(0x3A1 + sum(map(ord, query)))
+        alphabet = sorted(set(query))
+        for _trial in range(4):
+            # 12 constants: "10" and "11" sort before "2" by str.
+            db = random_instance(rng, 12, rng.randint(4, 16), alphabet, 0.4)
+            state = FixpointState.compute(db, query)
+            for _step in range(12):
+                overlay = random_update(rng, state.db, alphabet, 12)
+                new_db = overlay.commit()
+                state.apply_delta(
+                    new_db, overlay.added_facts, overlay.removed_facts
+                )
+                witness = state.witness
+                if not state.starts:
+                    assert witness is None
+                    continue
+                assert witness in state.starts
+                assert str(witness) == min(map(str, state.starts))
 
 
 class TestDatalogResume:
@@ -440,3 +470,232 @@ class TestGeneralizedDeltaDifferential:
             # Only the first step of each chain pays a full compute.
             assert warm >= 5, (str(gq), trial, warm)
         assert engine.stats.incremental_hits > 0
+
+
+def _noop_overlay(db, fact):
+    """An overlay that inserts then removes *fact*: no effective edit."""
+    overlay = DeltaInstance(db)
+    overlay.insert_fact(fact)
+    overlay.remove_fact(fact)
+    return overlay
+
+
+class _CallCounter:
+    """Counts IncrementalSatContext.solve and FixpointState.compute."""
+
+    def __init__(self, monkeypatch):
+        self.sat = 0
+        self.compute = 0
+        solve = IncrementalSatContext.solve
+        compute = FixpointState.__dict__["compute"].__func__
+
+        def counted_solve(ctx):
+            self.sat += 1
+            return solve(ctx)
+
+        def counted_compute(cls, *args, **kwargs):
+            self.compute += 1
+            return compute(cls, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalSatContext, "solve", counted_solve)
+        monkeypatch.setattr(
+            FixpointState, "compute", classmethod(counted_compute)
+        )
+
+    def calls(self):
+        return self.sat, self.compute
+
+
+class TestStoredAnswers:
+    """A read with no effective edit returns the answer stored on the
+    maintained state; every effective edit recomputes."""
+
+    CASES = [
+        pytest.param("RXRX", lambda: chain_instance("RXRX", 2, 3), id="FO"),
+        pytest.param("RRX", lambda: chain_instance("RRX", 2, 3), id="NL"),
+        pytest.param(
+            "RXRYRY", lambda: chain_instance("RXRYRY", 1, 2), id="PTIME"
+        ),
+        pytest.param(
+            "ARRX", lambda: chain_instance("ARRX", 2), id="coNP-chain"
+        ),
+        pytest.param("ARRX", figure3_instance, id="coNP-figure3"),
+        pytest.param(
+            GeneralizedPathQuery("ARRX", {4: 1}),
+            lambda: DatabaseInstance.from_triples(
+                [("A", 0, 2), ("R", 2, 3), ("R", 3, 4), ("X", 4, 1),
+                 ("R", 2, 5)]
+            ),
+            id="generalized",
+        ),
+    ]
+
+    @pytest.mark.parametrize("query,make_db", CASES)
+    def test_interleaved_reads_and_edits(self, query, make_db, monkeypatch):
+        rng = random.Random(0x570 + sum(map(ord, str(query))))
+        db = make_db()
+        alphabet = sorted(set(str(getattr(query, "word", query))))
+        engine = CertaintyEngine()
+        counter = _CallCounter(monkeypatch)
+        seen = [db]
+        reads = 0
+        for step in range(40):
+            kind = rng.choice(["read", "read", "edit", "noop", "return"])
+            if kind == "read":
+                arg, new_db = Delta(), db
+            elif kind == "noop":
+                if db.facts and rng.random() < 0.5:
+                    # Remove-then-insert of a present fact.
+                    fact = rng.choice(sorted(db.facts))
+                    arg = Delta(removes=(fact,), inserts=(fact,))
+                else:
+                    fresh = Fact(alphabet[0], 9_000 + step, 9_001 + step)
+                    arg = _noop_overlay(db, fresh)
+                new_db = db
+            elif kind == "edit":
+                overlay = random_update(rng, db, alphabet)
+                arg = Delta(
+                    removes=tuple(sorted(overlay.removed_facts)),
+                    inserts=tuple(sorted(overlay.added_facts)),
+                )
+                new_db = arg.apply_to(db).commit()
+            else:
+                earlier = rng.choice(seen)
+                arg = Delta(
+                    removes=tuple(sorted(db.facts - earlier.facts)),
+                    inserts=tuple(sorted(earlier.facts - db.facts)),
+                )
+                new_db = arg.apply_to(db).commit()
+                assert new_db == earlier
+            before = counter.calls()
+            result = engine.solve_delta(db, arg, query)
+            if new_db is db and step > 0:
+                reads += 1
+                assert counter.calls() == before, (kind, step)
+                assert result.details["incremental"] is True
+            expected = CertaintyEngine().solve(new_db, query)
+            assert result.answer == expected.answer, (kind, step, new_db)
+            if count_repairs(new_db) <= 512:
+                brute = certain_answer_brute_force(new_db, query)
+                assert result.answer == brute.answer, (kind, step, new_db)
+            if not result.answer and result.falsifying_repair is not None:
+                assert result.falsifying_repair.is_repair_of(new_db)
+            db = new_db
+            seen.append(db)
+        assert reads > 5
+        stats = engine.stats
+        assert stats.delta_solves == 40
+        assert (
+            stats.delta_solves == stats.incremental_hits + stats.full_resolves
+        )
+
+    @pytest.mark.parametrize(
+        "query,db",
+        [
+            ("RRX", chain_instance("RRX", 3, conflict_every=1)),
+            ("ARRX", figure3_instance()),
+        ],
+        ids=["fixpoint-no", "sat-no"],
+    )
+    def test_strip_leaves_the_next_reads_certificate(self, query, db):
+        engine = CertaintyEngine()
+        first = engine.solve_delta(db, Delta(), query)
+        second = engine.solve_delta(db, Delta(), query)
+        assert first.answer is False and second.answer is False
+        first.strip()
+        second.strip()
+        third = engine.solve_delta(db, Delta(), query)
+        assert third is not second
+        assert third.falsifying_repair is not None
+        assert third.falsifying_repair.is_repair_of(db)
+        assert not certain_answer_brute_force(
+            third.falsifying_repair, query
+        ).answer
+        # Writes into one read's details stay out of the next read.
+        third.details["note"] = 1
+        assert "note" not in engine.solve_delta(db, Delta(), query).details
+
+    @pytest.mark.parametrize(
+        "query,db,delta",
+        [
+            (
+                "RRX",
+                chain_instance("RRX", 2),
+                Delta.inserting(("R", 1, 77), ("R", 4, 78)),
+            ),
+            (
+                "ARRX",
+                chain_instance("ARRX", 2),
+                Delta.inserting(("A", 0, 99), ("A", 4, 98)),
+            ),
+        ],
+        ids=["fixpoint", "sat"],
+    )
+    def test_reader_and_writer_threads_get_their_versions(
+        self, query, db, delta
+    ):
+        new_db = delta.apply_to(db).commit()
+        undo = Delta(removes=delta.inserts, inserts=delta.removes)
+        want_v = CertaintyEngine().solve(db, query).answer
+        want_next = CertaintyEngine().solve(new_db, query).answer
+        assert want_v != want_next
+        engine = CertaintyEngine()
+        engine.solve_delta(db, Delta(), query)
+        # Readers at v and v+1, a writer v -> v+1 and one back: more
+        # threads than the two cores the suite is sized for, and states
+        # that move between both versions while others read them.
+        jobs = [
+            (db, Delta(), want_v),
+            (new_db, Delta(), want_next),
+            (db, delta, want_next),
+            (new_db, undo, want_v),
+        ]
+        barrier = threading.Barrier(len(jobs))
+        wrong = []
+
+        def run(base, arg, want):
+            barrier.wait()
+            for _ in range(100):
+                result = engine.solve_delta(base, arg, query)
+                if result.answer is not want:
+                    wrong.append((base is db, len(arg), result))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=job) for job in jobs
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_state_is_published_only_with_its_answer(self, monkeypatch):
+        """A writer that advances the state while another call is still
+        in its SAT re-solve must not find that state in the cache: the
+        slower call would then store its answer on a state that has
+        moved to another version."""
+        db = chain_instance("ARRX", 2)
+        fork = Delta.inserting(("A", 0, 99), ("A", 4, 98))
+        forked = fork.apply_to(db).commit()
+        undo = Delta(removes=fork.inserts)
+        engine = CertaintyEngine()
+        engine.solve_delta(forked, Delta(), "ARRX")
+        solve = IncrementalSatContext.solve
+        nested = []
+
+        def solve_then_fork(ctx):
+            if not nested:
+                nested.append(engine.solve_delta(db, fork, "ARRX"))
+            return solve(ctx)
+
+        monkeypatch.setattr(IncrementalSatContext, "solve", solve_then_fork)
+        assert engine.solve_delta(forked, undo, "ARRX").answer is True
+        assert nested[0].answer is False
+        assert engine.solve_delta(forked, Delta(), "ARRX").answer is False
+        assert engine.solve_delta(db, Delta(), "ARRX").answer is True

@@ -17,20 +17,11 @@ class TestStateCache:
         assert cache.info()["hits"] == 1
         assert cache.info()["misses"] == 1
 
-    def test_peek_leaves_entry(self):
-        cache = StateCache(max_size=4)
-        state = object()
-        cache.put("k", state)
-        assert cache.peek("k") is state
-        assert cache.peek("k") is state
-        assert cache.take("k") is state
-        assert cache.info()["hits"] == 3
-
     def test_lru_eviction_order(self):
         cache = StateCache(max_size=2)
         cache.put("a", 1)
         cache.put("b", 2)
-        assert cache.peek("a") == 1  # refresh a -> b is now LRU
+        cache.put("a", cache.take("a"))  # refresh a -> b is now LRU
         cache.put("c", 3)
         assert cache.take("b") is None
         assert cache.take("a") == 1

@@ -26,6 +26,7 @@ import os
 import pickle
 import subprocess
 import sys
+import zlib
 from array import array
 from pathlib import Path
 
@@ -216,8 +217,9 @@ def test_lazy_minimal_repair_reduce_is_data_only():
 # ----------------------------------------------------------------------
 
 
-def _snapshot_stream(payload):
+def _snapshot_stream(framed):
     """Split an encoded snapshot into its symbol tables and id stream."""
+    payload = framed[:-4]
     tables_len = int.from_bytes(payload[:8], "little")
     n_ids = int.from_bytes(payload[8:16], "little")
     rels, consts = pickle.loads(payload[16 : 16 + tables_len])
@@ -256,10 +258,15 @@ _SMALL_TABLES = (["R", "X"], [0, 1, 2, 3])
 _SMALL_IDS = [0, 0, 2, 1, 2, 1, 1, 1, 3]
 
 
+def _with_crc(body):
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
 def _payload(ids=_SMALL_IDS, tables=_SMALL_TABLES):
-    """An shm payload with the given id stream, the header kept honest."""
+    """An shm payload with the given id stream, the header and the
+    checksum kept honest."""
     pickled = pickle.dumps(tables)
-    return (
+    return _with_crc(
         len(pickled).to_bytes(8, "little")
         + len(ids).to_bytes(8, "little")
         + pickled
@@ -307,7 +314,8 @@ def _stream_prefix(n_ids):
         pytest.param(lambda p: p + b"\0", id="trailing-byte"),
         # Tables that do not unpickle, or unpack to the wrong shape.
         pytest.param(
-            lambda p: p[:16] + b"\xff" * (len(p) - 16), id="bad-tables"
+            lambda p: _with_crc(p[:16] + b"\xff" * (len(p) - 20)),
+            id="bad-tables",
         ),
         pytest.param(
             lambda p: _payload(tables=["R", "X"]), id="tables-not-a-pair"
@@ -378,6 +386,36 @@ def test_shm_decode_fuzz(db, data):
     else:
         payload = data.draw(st.binary(max_size=256))
     _assert_rejected_or_consistent(payload)
+
+
+@pytest.mark.parametrize("db", _FUZZ_INSTANCES, ids=["small", "mixed", "chain"])
+def test_shm_decode_rejects_every_single_bit_flip(db):
+    """The crc32 trailer catches every single-bit flip: none decodes,
+    silently or otherwise, to an instance."""
+    payload = _encode_snapshot(db)
+    assert _decode_snapshot(payload).facts == db.facts
+    silent = 0
+    for bit in range(8 * len(payload)):
+        mutated = bytearray(payload)
+        mutated[bit // 8] ^= 1 << (bit % 8)
+        try:
+            _decode_snapshot(bytes(mutated))
+        except ShardTransportError:
+            continue
+        silent += 1
+    assert silent == 0
+
+
+def test_shm_decode_checks_the_checksum_before_unpickling(monkeypatch):
+    payload = bytearray(_encode_snapshot(_SMALL))
+    payload[-1] ^= 1
+    calls = []
+    monkeypatch.setattr(
+        pickle, "loads", lambda *args: calls.append(args) or None
+    )
+    with pytest.raises(ShardTransportError):
+        _decode_snapshot(bytes(payload))
+    assert calls == []
 
 
 def test_shm_register_round_trip_and_segment_cleanup():
