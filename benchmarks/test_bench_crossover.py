@@ -3,8 +3,7 @@
 The shape Theorem 3 predicts: brute-force repair enumeration grows
 exponentially with the number of conflicting blocks while the fixpoint
 algorithm stays polynomial; the SAT encoding sits in between (polynomial
-encoding, exponential worst-case search).  Includes the at-most-one
-encoding ablation.
+encoding, exponential worst-case search).
 """
 
 import pytest
@@ -40,13 +39,4 @@ def test_bench_e11_fixpoint(benchmark, repetitions):
 def test_bench_e11_sat(benchmark, repetitions):
     db = conflicted_chain(repetitions)
     result = benchmark(certain_answer_sat, db, "RRX")
-    assert result.answer == certain_answer_fixpoint(db, "RRX").answer
-
-
-@pytest.mark.parametrize("at_most_one", [False, True])
-def test_bench_e11_sat_encoding_ablation(benchmark, at_most_one):
-    """At-most-one block clauses are redundant for path queries; the
-    ablation quantifies their cost."""
-    db = conflicted_chain(8)
-    result = benchmark(certain_answer_sat, db, "RRX", at_most_one=at_most_one)
     assert result.answer == certain_answer_fixpoint(db, "RRX").answer

@@ -3,7 +3,7 @@
 E9: reachability reduction instances solved by the NL/PTIME machinery --
 agreement with graph reachability on every input.
 E8: SAT reduction instances -- the coNP pipeline (fixpoint prefilter +
-DPLL) against formula satisfiability.
+CDCL) against truth-table satisfiability of the formula.
 E10: MCVP reduction instances -- the fixpoint algorithm against circuit
 evaluation.
 """
@@ -49,7 +49,7 @@ def test_bench_e8_sat_pipeline(benchmark, n_vars, n_clauses):
 
     result = benchmark(solve)
     assert result.answer == reduction.expected_certainty(
-        formula.is_satisfiable()
+        formula.brute_force_satisfiable()
     )
 
 

@@ -1,11 +1,11 @@
 """Scaling gates: a cold ``auto`` solve grows with the data as the paper says.
 
-For one canonical query per tractable class -- RXRX (FO), RRX
-(NL-complete) and RXRYRY (PTIME-complete) -- a cold ``auto`` solve of
-``chain_instance(q, ..., conflict_every=7)`` is timed at about n, 4n and
-16n facts.  Each size takes the best of three solves, each on a freshly
-built instance, so the compact view and the kernel plans are built
-inside the timing, as for an ad-hoc request.  The least-squares slope of
+For one canonical query per class -- RXRX (FO), RRX (NL-complete),
+RXRYRY (PTIME-complete) and ARRX (coNP-complete) -- a cold ``auto``
+solve of ``chain_instance(q, ..., conflict_every=7)`` is timed at about
+n, 4n and 16n facts.  Each size takes the best of three solves, each on
+a freshly built instance, so the compact view and the kernel plans are
+built inside the timing, as for an ad-hoc request.  The least-squares slope of
 log(seconds) over log(facts) is gated at ``SLOPE_GATE``: a linear route
 reads about 1.
 
@@ -13,8 +13,11 @@ reads about 1.
 only.  Its binary ``cyclepath`` closure derives O(n²) tuples on these
 chains, so its row is gated at ``NL_SLOPE_GATE`` -- quadratic plus a
 margin for timing noise -- which catches an evaluator that grows worse
-than its stated complexity.  ARRX (coNP-complete: the Figure 5 fixpoint
-prefilter, then SAT on these certain chains) is recorded without a gate.
+than its stated complexity.  ARRX runs the Figure 5 fixpoint prefilter,
+then the falsifying-repair encoding and the CDCL solver on these certain
+chains, which need no search decisions; its row is gated at
+``SLOPE_GATE`` too, so encoding or unit propagation that grows worse
+than linearly fails it.
 
 Each test is one pytest-benchmark row (the cold solve at the largest
 size) whose ``extra_info`` carries the slope, the gate and the per-size
@@ -48,12 +51,12 @@ NL_BASE_FACTS = 40 if QUICK else 90
 CONFLICT_EVERY = 7
 
 ROWS = [
-    # (query, method, base facts, slope gate or None)
+    # (query, method, base facts, slope gate)
     ("RXRX", "auto", BASE_FACTS, SLOPE_GATE),
     ("RRX", "auto", BASE_FACTS, SLOPE_GATE),
     ("RXRYRY", "auto", BASE_FACTS, SLOPE_GATE),
     # SAT dominates this row; half the sizes keep the sweep affordable.
-    ("ARRX", "auto", BASE_FACTS // 2, None),
+    ("ARRX", "auto", BASE_FACTS // 2, SLOPE_GATE),
     ("RRX", "nl", NL_BASE_FACTS, NL_SLOPE_GATE),
 ]
 
@@ -123,11 +126,10 @@ def test_bench_cold_scaling(benchmark, query, method, base, gate):
         setup=lambda: ((chain_of(query, 16 * base), query, method), {}),
         rounds=3,
     )
-    if gate is not None:
-        assert slope <= gate, (
-            "cold {} solve of {} grows with slope {:.2f} > {} "
-            "(facts {}, best ms {})".format(
-                method, query, slope, gate, sizes,
-                [round(s * 1e3, 2) for s in seconds],
-            )
+    assert slope <= gate, (
+        "cold {} solve of {} grows with slope {:.2f} > {} "
+        "(facts {}, best ms {})".format(
+            method, query, slope, gate, sizes,
+            [round(s * 1e3, 2) for s in seconds],
         )
+    )

@@ -53,7 +53,7 @@ def lemma19_demo() -> None:
     )
     reduction = sat_reduction("ARRX", formula)
     print("  instance size:", len(reduction.instance), "facts")
-    satisfiable = formula.is_satisfiable()
+    satisfiable = formula.brute_force_satisfiable()
     result = certain_answer(reduction.instance, "ARRX")
     print("  satisfiable: {}  =>  CERTAINTY = {} (expected {})".format(
         satisfiable, result.answer, reduction.expected_certainty(satisfiable)))

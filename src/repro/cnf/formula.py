@@ -2,7 +2,7 @@
 
 The SAT problem ("does a CNF formula have a satisfying assignment?") is
 the source problem of the Lemma 19 reduction.  Satisfiability here is
-decided with the library's own DPLL solver
+decided with the library's own CDCL solver
 (:mod:`repro.solvers.sat`), after mapping named variables to integers.
 """
 
@@ -71,7 +71,7 @@ class CnfFormula:
         return clauses, numbering
 
     def satisfying_assignment(self) -> Optional[Dict[str, bool]]:
-        """A satisfying assignment via the library DPLL solver, or ``None``."""
+        """A satisfying assignment via the library CDCL solver, or ``None``."""
         from repro.solvers.sat import solve_clauses
 
         int_clauses, numbering = self.to_int_clauses()
@@ -84,7 +84,7 @@ class CnfFormula:
         return self.satisfying_assignment() is not None
 
     def brute_force_satisfiable(self) -> bool:
-        """Truth-table satisfiability (for cross-checking the DPLL solver)."""
+        """Truth-table satisfiability (for cross-checking the CDCL solver)."""
         names = self.variables()
         for values in itertools.product((False, True), repeat=len(names)):
             if self.satisfied_by(dict(zip(names, values))):

@@ -25,7 +25,6 @@ from repro.engine.engine import (
 from repro.engine.plan import (
     CompiledGeneralizedQuery,
     CompiledQuery,
-    SatSkeleton,
     conp_solve,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "default_engine",
     "CompiledGeneralizedQuery",
     "CompiledQuery",
-    "SatSkeleton",
     "conp_solve",
 ]

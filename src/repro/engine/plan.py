@@ -13,13 +13,16 @@ query.  A :class:`CompiledQuery` is that per-query residue:
   ``nl`` method (``auto`` decides NL-complete queries with the Figure 5
   fixpoint, which is exact on them: C2 ⊆ C3 by Proposition 1 and ``N``
   is exact under C3 by Lemma 7);
-* a :class:`SatSkeleton` fixing the falsifying-repair encoding options;
 * lazily on first use: ``NFA(q)``, the ``NFAmin(q)`` DFA, and the
   Lemma 13 FO sentence (inspection artifacts; the hot paths use the
   direct semantic recursions).
 
 ``plan.solve(db)`` then performs only instance-dependent work, with
 semantics identical to the classification-driven ``certain_answer``.
+For coNP-complete queries that work is the fixpoint "no" pre-filter,
+then the falsifying-repair encoding solved by the library's one CDCL
+solver (:func:`~repro.solvers.sat_encoding.certain_answer_sat`), the
+same solver the engine's warm delta route keeps per resident.
 """
 
 from __future__ import annotations
@@ -56,30 +59,10 @@ _METHODS = ("auto", "fo", "nl", "fixpoint", "sat", "brute_force")
 _UNSET = object()
 
 
-class SatSkeleton:
-    """The instance-independent part of the falsifying-repair encoding.
-
-    The clause matrix itself is data-dependent (one variable per fact, one
-    blocking clause per embedding), so what compiles ahead of time is the
-    normalized query and the encoding options; the skeleton exists so the
-    per-instance call site carries no per-query decisions.
-    """
-
-    __slots__ = ("query", "at_most_one")
-
-    def __init__(self, query: Word, at_most_one: bool = False) -> None:
-        self.query = query
-        self.at_most_one = at_most_one
-
-    def solve(self, db: DatabaseInstance) -> CertaintyResult:
-        return certain_answer_sat(db, self.query, self.at_most_one)
-
-
 def conp_solve(
     db: DatabaseInstance,
     q: WordLike,
     tables: Optional[FixpointTables] = None,
-    skeleton: Optional[SatSkeleton] = None,
 ) -> CertaintyResult:
     """SAT with the sound fixpoint "no" pre-filter (Lemma 10).
 
@@ -104,9 +87,7 @@ def conp_solve(
             falsifying_repair=prefilter._repair_source,
             details=dict(prefilter.details),
         )
-    if skeleton is None:
-        skeleton = SatSkeleton(q)
-    result = skeleton.solve(db)
+    result = certain_answer_sat(db, q)
     result.details["prefilter"] = "fixpoint-yes"
     return result
 
@@ -127,7 +108,6 @@ class CompiledQuery:
         "word",
         "classification",
         "tables",
-        "sat_skeleton",
         "_datalog",
         "_datalog_error",
         "_datalog_compact",
@@ -142,7 +122,6 @@ class CompiledQuery:
         self.word = Word.coerce(query)
         self.classification: Classification = classify(self.word)
         self.tables = FixpointTables.build(self.word)
-        self.sat_skeleton = SatSkeleton(self.word)
         self._datalog: Union[CqaProgram, None, object] = _UNSET
         self._datalog_error: Optional[str] = None
         self._datalog_compact = None
@@ -249,7 +228,7 @@ class CompiledQuery:
         if method == "fixpoint":
             return self._fixpoint(db, require_c3=True)
         if method == "sat":
-            return self.sat_skeleton.solve(db)
+            return certain_answer_sat(db, self.word)
         if method == "brute_force":
             return certain_answer_brute_force(db, self.word)
         raise ValueError("unknown method {!r}".format(method))
@@ -275,9 +254,7 @@ class CompiledQuery:
             # program stays available as method="nl", but its binary
             # ``cyclepath`` closure costs O(n²) on chains.
             return self._fixpoint(db, require_c3=True)
-        return conp_solve(
-            db, self.word, tables=self.tables, skeleton=self.sat_skeleton
-        )
+        return conp_solve(db, self.word, tables=self.tables)
 
     def __repr__(self) -> str:
         return "CompiledQuery({!r}, {})".format(str(self.word), self.complexity)

@@ -36,13 +36,15 @@ def reachability_agreement(
 def sat_agreement(
     query: str = "ARRX", trials: int = 20, seed: int = 0
 ) -> Dict[str, object]:
-    """E8: SAT reduction vs DPLL ground truth."""
+    """E8: SAT reduction vs truth-table ground truth."""
     rng = random.Random(seed)
     agree = 0
     for _ in range(trials):
         formula = random_ksat(rng.randint(3, 5), rng.randint(2, 10), 3, rng)
         reduction = sat_reduction(query, formula)
-        expected = reduction.expected_certainty(formula.is_satisfiable())
+        expected = reduction.expected_certainty(
+            formula.brute_force_satisfiable()
+        )
         agree += certain_answer(reduction.instance, query).answer == expected
     return {"experiment": "E8", "query": query, "trials": trials, "agree": agree}
 

@@ -11,7 +11,12 @@ oracle therefore re-decides every answered request on the relevant
   the instance has at most *repair_limit* repairs;
 * the **object-plane SAT encoding** otherwise -- no compact views, no
   int-id kernels, no incremental state, sound and complete for every
-  complexity class.
+  complexity class.  The encoding
+  (:func:`~repro.solvers.sat_encoding.encode_falsifying_repair`) is
+  shared with the engine's coNP route, but the search is not: the
+  engine runs the CDCL solver of :mod:`repro.solvers.sat`, while the
+  oracle runs its own private reference DPLL (:func:`_dpll_solve`,
+  below), so the oracle never checks the CDCL against itself.
 
 The same oracle backs three consumers with one code path (so a bug in
 the cross-check cannot hide in a private copy):
@@ -41,13 +46,131 @@ from repro.db.instance import DatabaseInstance
 from repro.db.repairs import count_repairs
 from repro.queries.generalized import GeneralizedPathQuery
 from repro.solvers.brute_force import certain_answer_brute_force
-from repro.solvers.sat_encoding import certain_answer_sat
+from repro.solvers.sat import Clause, SatStats
+from repro.solvers.sat_encoding import encode_falsifying_repair
 from repro.words.word import Word, WordLike
 
 #: Above this many repairs the oracle switches from enumeration to the
 #: object-plane SAT encoding (still independent of everything the matrix
 #: exercises, just not the literal semantic definition).
 DEFAULT_REPAIR_LIMIT = 512
+
+
+# The reference DPLL: unit propagation, pure-literal elimination at the
+# root and a most-frequent-literal branching heuristic.  It copies the
+# clause list and the assignment per decision and learns nothing, so it
+# is slow; it is kept because it shares no code with the CDCL solver the
+# engine runs.
+
+
+def _propagate(
+    clauses: List[List[int]], assignment: Dict[int, bool], stats: SatStats
+) -> Optional[List[List[int]]]:
+    """Unit propagation; returns the simplified clause set or ``None`` on
+    conflict.  *assignment* is extended in place."""
+    changed = True
+    current = clauses
+    while changed:
+        changed = False
+        simplified: List[List[int]] = []
+        for clause in current:
+            satisfied = False
+            remaining: List[int] = []
+            for literal in clause:
+                var = abs(literal)
+                value = assignment.get(var)
+                if value is None:
+                    remaining.append(literal)
+                elif (literal > 0) == value:
+                    satisfied = True
+                    break
+            if satisfied:
+                continue
+            if not remaining:
+                return None
+            if len(remaining) == 1:
+                literal = remaining[0]
+                var = abs(literal)
+                value = literal > 0
+                existing = assignment.get(var)
+                if existing is None:
+                    assignment[var] = value
+                    stats.propagations += 1
+                    changed = True
+                elif existing != value:
+                    return None
+                continue
+            simplified.append(remaining)
+        current = simplified
+    return current
+
+
+def _choose_literal(clauses: List[List[int]]) -> int:
+    """Branch on the most frequent literal (ties broken by magnitude)."""
+    counts: Dict[int, int] = {}
+    for clause in clauses:
+        for literal in clause:
+            counts[literal] = counts.get(literal, 0) + 1
+    return max(sorted(counts), key=lambda l: counts[l])
+
+
+def _dpll(
+    clauses: List[List[int]], assignment: Dict[int, bool], stats: SatStats
+) -> Optional[Dict[int, bool]]:
+    simplified = _propagate(clauses, assignment, stats)
+    if simplified is None:
+        return None
+    if not simplified:
+        return assignment
+    literal = _choose_literal(simplified)
+    stats.decisions += 1
+    for value in ((literal > 0), (literal < 0)):
+        trial = dict(assignment)
+        trial[abs(literal)] = value
+        result = _dpll(simplified, trial, stats)
+        if result is not None:
+            return result
+    return None
+
+
+def _dpll_solve(
+    clauses: Iterable[Clause], stats: Optional[SatStats] = None
+) -> Optional[Dict[int, bool]]:
+    """Solve a CNF given as integer clauses.
+
+    Returns a satisfying assignment ``{variable: bool}`` (unmentioned
+    variables are unconstrained and absent), or ``None`` if unsatisfiable.
+
+    >>> sorted(_dpll_solve([[1, 2], [-1], [-2, 3]]).items())
+    [(1, False), (2, True), (3, True)]
+    >>> _dpll_solve([[1], [-1]]) is None
+    True
+    """
+    stats = stats or SatStats()
+    materialized: List[List[int]] = []
+    for clause in clauses:
+        clause = list(clause)
+        if any(literal == 0 for literal in clause):
+            raise ValueError("literal 0 is not allowed")
+        if any(-literal in clause for literal in clause):
+            continue  # tautology
+        materialized.append(clause)
+    # Pure-literal elimination at the root.
+    assignment: Dict[int, bool] = {}
+    while True:
+        literals = {l for clause in materialized for l in clause}
+        pure = {l for l in literals if -l not in literals}
+        if not pure:
+            break
+        for literal in pure:
+            assignment.setdefault(abs(literal), literal > 0)
+        materialized = [
+            clause
+            for clause in materialized
+            if not any(l in pure for l in clause)
+        ]
+    return _dpll(materialized, assignment, stats)
+
 
 
 def reference_answer(
@@ -61,6 +184,9 @@ def reference_answer(
     decide them directly (repair enumeration semantically, the SAT
     encoding via its conjunctive-query translation), so the oracle stays
     disjoint from the engine's Lemma 27/29 segment-and-``ext(q)`` route.
+    Above *repair_limit* the encoding is solved by :func:`_dpll_solve`:
+    *q* is certain iff no repair falsifies it, i.e. iff the clauses are
+    unsatisfiable.
     """
     if isinstance(query, GeneralizedPathQuery):
         target: object = query
@@ -68,7 +194,8 @@ def reference_answer(
         target = Word.coerce(query)
     if count_repairs(db) <= repair_limit:
         return certain_answer_brute_force(db, target, repair_limit=None).answer
-    return certain_answer_sat(db, target).answer
+    clauses, _ = encode_falsifying_repair(db, target)
+    return _dpll_solve(clauses) is None
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@
   (Lemma 14; C2 queries; the forced ``method="nl"``);
 * :mod:`repro.solvers.brute_force` -- exhaustive repair enumeration
   (exponential baseline, ground truth for tests);
-* :mod:`repro.solvers.sat` / :mod:`repro.solvers.sat_encoding` -- a DPLL
-  SAT solver and the CAvSAT-style encoding (generic baseline; the workhorse
-  for coNP-complete queries);
+* :mod:`repro.solvers.sat` / :mod:`repro.solvers.sat_encoding` -- the one
+  CDCL SAT solver (cold and warm solves) and the CAvSAT-style encoding
+  (generic baseline; the workhorse for coNP-complete queries);
 * :mod:`repro.solvers.certainty` -- the classification-driven front end;
 * :mod:`repro.solvers.generalized_solver` -- queries with constants
   (Section 8).

@@ -22,6 +22,7 @@ from repro.db.paths import rooted_certainty
 from repro.queries.generalized import GeneralizedPathQuery, Segment
 from repro.solvers.fixpoint import FixpointState, certain_answer_incremental
 from repro.solvers.result import CertaintyResult
+from repro.solvers.sat_encoding import certain_answer_sat
 from repro.words.word import Word, WordLike
 
 
@@ -164,16 +165,16 @@ class GeneralizedState:
 
         C3 ``ext(q)`` words are decided exactly by the relation ``N``;
         for C3-violating words the maintained state is the sound "no"
-        pre-filter and a surviving "yes" re-solves via the inner plan's
-        SAT skeleton on the extended instance (same envelope as the
-        engine's word-level delta route).
+        pre-filter and a surviving "yes" re-solves with
+        ``certain_answer_sat`` on the extended instance (same envelope as
+        the engine's word-level delta route).
         """
         is_c3 = self.inner_plan.classification.c3
         inner = certain_answer_incremental(
             self.ext_state, require_c3=False, is_c3=is_c3
         )
         if not is_c3 and inner.answer:
-            inner = self.inner_plan.sat_skeleton.solve(self.ext_db)
+            inner = certain_answer_sat(self.ext_db, self.inner_plan.word)
         self._inner_answer = inner.answer
         self._inner_method = inner.method
         self._inner_witness = inner.witness_constant

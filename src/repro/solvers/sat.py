@@ -1,21 +1,16 @@
-"""Self-contained SAT solvers (substrate for the coNP baseline).
+"""The library's SAT solver (substrate for the coNP route).
 
 Clauses are lists of nonzero integers (DIMACS convention: ``v`` means the
-variable ``v`` is true, ``-v`` that it is false).  Two solvers share the
-convention:
-
-* :func:`solve_clauses` -- one-shot DPLL with unit propagation,
-  pure-literal elimination at the root, and a most-frequent-literal
-  branching heuristic.  Ample for the instance sizes the CQA encodings
-  produce, dependency-free by design, and retained as the fresh-solve
-  differential baseline.
-* :class:`IncrementalSatSolver` -- an iterative CDCL solver (two-watched
-  literals, 1UIP clause learning with backjumping, phase saving) that
-  **persists across calls**: clauses stay loaded, learned clauses and
-  saved phases survive, and each :meth:`~IncrementalSatSolver.solve`
-  call takes a list of *assumption* literals fixed before search.  The
-  engine's delta-aware coNP route keeps one solver per resident and
-  toggles selector assumptions instead of re-encoding the CNF.
+variable ``v`` is true, ``-v`` that it is false).  One solver,
+:class:`IncrementalSatSolver`, decides them: an iterative CDCL solver
+(two-watched literals, 1UIP clause learning with backjumping, phase
+saving) that **persists across calls**: clauses stay loaded, learned
+clauses and saved phases survive, and each
+:meth:`~IncrementalSatSolver.solve` call takes a list of *assumption*
+literals fixed before search.  The engine's delta-aware coNP route keeps
+one solver per resident and toggles selector assumptions instead of
+re-encoding the CNF; :func:`solve_clauses` is the one-shot entry for
+cold solves, a fresh solver per call.
 """
 
 from __future__ import annotations
@@ -26,127 +21,37 @@ Clause = Sequence[int]
 
 
 class SatStats:
-    """Mutable solver statistics (decisions / propagations)."""
+    """Mutable solver statistics (decisions / propagations / learned
+    clauses, one per conflict)."""
 
-    __slots__ = ("decisions", "propagations")
+    __slots__ = ("decisions", "propagations", "learned")
 
     def __init__(self) -> None:
         self.decisions = 0
         self.propagations = 0
-
-
-def _propagate(
-    clauses: List[List[int]], assignment: Dict[int, bool], stats: SatStats
-) -> Optional[List[List[int]]]:
-    """Unit propagation; returns the simplified clause set or ``None`` on
-    conflict.  *assignment* is extended in place."""
-    changed = True
-    current = clauses
-    while changed:
-        changed = False
-        simplified: List[List[int]] = []
-        for clause in current:
-            satisfied = False
-            remaining: List[int] = []
-            for literal in clause:
-                var = abs(literal)
-                value = assignment.get(var)
-                if value is None:
-                    remaining.append(literal)
-                elif (literal > 0) == value:
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if not remaining:
-                return None
-            if len(remaining) == 1:
-                literal = remaining[0]
-                var = abs(literal)
-                value = literal > 0
-                existing = assignment.get(var)
-                if existing is None:
-                    assignment[var] = value
-                    stats.propagations += 1
-                    changed = True
-                elif existing != value:
-                    return None
-                continue
-            simplified.append(remaining)
-        current = simplified
-    return current
-
-
-def _choose_literal(clauses: List[List[int]]) -> int:
-    """Branch on the most frequent literal (ties broken by magnitude)."""
-    counts: Dict[int, int] = {}
-    for clause in clauses:
-        for literal in clause:
-            counts[literal] = counts.get(literal, 0) + 1
-    return max(sorted(counts), key=lambda l: counts[l])
-
-
-def _dpll(
-    clauses: List[List[int]], assignment: Dict[int, bool], stats: SatStats
-) -> Optional[Dict[int, bool]]:
-    simplified = _propagate(clauses, assignment, stats)
-    if simplified is None:
-        return None
-    if not simplified:
-        return assignment
-    literal = _choose_literal(simplified)
-    stats.decisions += 1
-    for value in ((literal > 0), (literal < 0)):
-        trial = dict(assignment)
-        trial[abs(literal)] = value
-        result = _dpll(simplified, trial, stats)
-        if result is not None:
-            return result
-    return None
+        self.learned = 0
 
 
 def solve_clauses(
     clauses: Iterable[Clause], stats: Optional[SatStats] = None
 ) -> Optional[Dict[int, bool]]:
-    """Solve a CNF given as integer clauses.
+    """Solve a CNF given as integer clauses with a fresh CDCL solver.
 
-    Returns a satisfying assignment ``{variable: bool}`` (unmentioned
-    variables are unconstrained and absent), or ``None`` if unsatisfiable.
+    Returns a satisfying assignment ``{variable: bool}`` covering every
+    variable of a non-tautological clause, or ``None`` if unsatisfiable.
+    *stats*, when given, accumulates the search counters.
 
     >>> sorted(solve_clauses([[1, 2], [-1], [-2, 3]]).items())
     [(1, False), (2, True), (3, True)]
     >>> solve_clauses([[1], [-1]]) is None
     True
     """
-    stats = stats or SatStats()
-    materialized: List[List[int]] = []
+    solver = IncrementalSatSolver()
+    if stats is not None:
+        solver.stats = stats
     for clause in clauses:
-        clause = list(clause)
-        if any(literal == 0 for literal in clause):
-            raise ValueError("literal 0 is not allowed")
-        if any(-literal in clause for literal in clause):
-            continue  # tautology
-        materialized.append(clause)
-    # Pure-literal elimination at the root.
-    assignment: Dict[int, bool] = {}
-    while True:
-        literals = {l for clause in materialized for l in clause}
-        pure = {l for l in literals if -l not in literals}
-        if not pure:
-            break
-        for literal in pure:
-            assignment.setdefault(abs(literal), literal > 0)
-        materialized = [
-            clause
-            for clause in materialized
-            if not any(l in pure for l in clause)
-        ]
-    return _dpll(materialized, assignment, stats)
-
-
-def is_satisfiable(clauses: Iterable[Clause]) -> bool:
-    """Convenience wrapper returning only satisfiability."""
-    return solve_clauses(clauses) is not None
+        solver.add_clause(clause)
+    return solver.solve()
 
 
 class IncrementalSatSolver:
@@ -183,7 +88,6 @@ class IncrementalSatSolver:
 
     __slots__ = (
         "stats",
-        "learned",
         "_clauses",
         "_n_original",
         "_watches",
@@ -202,9 +106,8 @@ class IncrementalSatSolver:
     )
 
     def __init__(self) -> None:
+        #: Search counters since construction.
         self.stats = SatStats()
-        #: Learned clauses retained since construction.
-        self.learned = 0
         self._clauses: List[List[int]] = []
         self._n_original = 0
         self._watches: Dict[int, List[int]] = {}
@@ -416,7 +319,7 @@ class IncrementalSatSolver:
                 # Never backjump into the assumption prefix's middle: the
                 # main loop re-asserts assumptions as needed.
                 self._backjump(back)
-                self.learned += 1
+                self.stats.learned += 1
                 self._var_inc *= 1.05
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):

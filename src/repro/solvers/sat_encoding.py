@@ -4,9 +4,8 @@
 The encoding has one Boolean variable per fact and
 
 * one *at-least-one* clause per block (a repair picks a fact per block);
-* optionally pairwise *at-most-one* clauses per block -- not needed for
-  correctness because path-query satisfaction is monotone (any superset of
-  a satisfying repair still embeds the query), kept as an ablation knob;
+  no *at-most-one* clauses are needed, because query satisfaction is
+  monotone (any superset of a satisfying repair still embeds the query);
 * one *blocking* clause per embedding of ``q`` into ``db``: at least one
   fact of the embedding must be absent.
 
@@ -65,9 +64,7 @@ def _embeddings(db: DatabaseInstance, query: QueryLike) -> List[frozenset]:
 
 
 def encode_falsifying_repair(
-    db: DatabaseInstance,
-    query: QueryLike,
-    at_most_one: bool = False,
+    db: DatabaseInstance, query: QueryLike
 ) -> Tuple[List[List[int]], Dict[int, Fact]]:
     """CNF clauses satisfiable iff some repair of *db* falsifies *query*.
 
@@ -80,15 +77,43 @@ def encode_falsifying_repair(
         var_fact[index] = fact
     clauses: List[List[int]] = []
     for block in db.blocks():
-        members = [fact_var[f] for f in block.facts]
-        clauses.append(members)
-        if at_most_one:
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    clauses.append([-members[a], -members[b]])
+        clauses.append([fact_var[f] for f in block.facts])
     for image in _embeddings(db, query):
         clauses.append(sorted(-fact_var[f] for f in image))
     return clauses, var_fact
+
+
+def _sat_result(
+    db: DatabaseInstance,
+    query: str,
+    method: str,
+    model: Optional[Dict[int, bool]],
+    fact_var: Dict[Fact, int],
+    details: Dict[str, object],
+) -> CertaintyResult:
+    """The answer a SAT *model* gives (``None``: UNSAT, so "yes").
+
+    A model yields its falsifying repair: per block, a fact the model
+    marks present.  The block's at-least-one clause guarantees one, and
+    the CDCL model covers every variable of a clause.
+    """
+    if model is None:
+        return CertaintyResult(
+            query=query, answer=True, method=method, details=details
+        )
+    chosen = []
+    for block in db.blocks():
+        for fact in block.facts:
+            if model[fact_var[fact]]:
+                chosen.append(fact)
+                break
+    return CertaintyResult(
+        query=query,
+        answer=False,
+        method=method,
+        falsifying_repair=DatabaseInstance(chosen),
+        details=details,
+    )
 
 
 def _embeddings_through(
@@ -302,79 +327,35 @@ class IncrementalSatContext:
         details = {
             "clauses": self.solver.clause_count,
             "clauses_reused": self.last_reused,
-            "learned": self.solver.learned,
+            "learned": stats.learned,
             "variables": self._next_var - 1,
             "assumptions": len(assumptions),
             "decisions": stats.decisions - decisions0,
             "propagations": stats.propagations - props0,
         }
-        name = str(self.query)
-        if model is None:
-            return CertaintyResult(
-                query=name, answer=True, method="sat-incremental",
-                details=details,
-            )
-        chosen = []
-        for block in self.db.blocks():
-            selected: Optional[Fact] = None
-            for fact in block.facts:
-                if model.get(self._fact_var[fact], False):
-                    selected = fact
-                    break
-            if selected is None:
-                selected = block.facts[0]
-            chosen.append(selected)
-        return CertaintyResult(
-            query=name,
-            answer=False,
-            method="sat-incremental",
-            falsifying_repair=DatabaseInstance(chosen),
-            details=details,
+        return _sat_result(
+            self.db, str(self.query), "sat-incremental", model,
+            self._fact_var, details,
         )
 
 
-def certain_answer_sat(
-    db: DatabaseInstance,
-    query: QueryLike,
-    at_most_one: bool = False,
-) -> CertaintyResult:
+def certain_answer_sat(db: DatabaseInstance, query: QueryLike) -> CertaintyResult:
     """Decide CERTAINTY(query) via the falsifying-repair SAT encoding.
 
-    Exact for every query; intended as the solver for coNP-complete
-    queries and as a cross-checking baseline elsewhere.
+    Exact for every query; the cold solver for coNP-complete queries and
+    a cross-checking baseline elsewhere.  The clauses go to a fresh CDCL
+    solver (:func:`~repro.solvers.sat.solve_clauses`).
     """
-    clauses, var_fact = encode_falsifying_repair(db, query, at_most_one)
+    clauses, var_fact = encode_falsifying_repair(db, query)
     stats = SatStats()
     model = solve_clauses(clauses, stats)
-    name = str(query if not isinstance(query, PathQuery) else query.word)
     details = {
         "clauses": len(clauses),
         "variables": len(var_fact),
         "decisions": stats.decisions,
         "propagations": stats.propagations,
+        "learned": stats.learned,
     }
-    if model is None:
-        return CertaintyResult(
-            query=name, answer=True, method="sat", details=details
-        )
-    fact_var = {fact: index for index, fact in var_fact.items()}
-    chosen = []
-    for block in db.blocks():
-        # Pick a fact the model marks present; the at-least-one clause
-        # guarantees one exists.  (Unconstrained variables default false.)
-        selected: Optional[Fact] = None
-        for fact in block.facts:
-            if model.get(fact_var[fact], False):
-                selected = fact
-                break
-        if selected is None:
-            selected = block.facts[0]
-        chosen.append(selected)
-    repair = DatabaseInstance(chosen)
-    return CertaintyResult(
-        query=name,
-        answer=False,
-        method="sat",
-        falsifying_repair=repair,
-        details=details,
-    )
+    name = str(query if not isinstance(query, PathQuery) else query.word)
+    fact_var = {fact: var for var, fact in var_fact.items()}
+    return _sat_result(db, name, "sat", model, fact_var, details)

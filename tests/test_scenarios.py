@@ -6,7 +6,8 @@ Four layers of guarantees:
   the firehose stream's no-no-op/liveness invariants, cross-checked by
   brute force;
 * **oracle** -- the differential verifier flags a seeded wrong answer
-  (if it cannot catch a planted bug, no cell is evidence of anything);
+  (if it cannot catch a planted bug, no cell is evidence of anything),
+  and above the repair limit it answers without the engine's SAT solver;
 * **cells** -- the tier-1 smoke cells (``-m scenarios_smoke``) and a
   chaos-armed serving cell verify every answered request;
 * **determinism** -- the same seed reproduces workloads bit-for-bit and
@@ -17,12 +18,14 @@ The full 20-cell matrix (every family x every mode, including
 """
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from repro.db.repairs import count_repairs
+from repro.queries.generalized import GeneralizedPathQuery
 from repro.scenarios import (
     FAMILIES,
     MODES,
@@ -40,6 +43,8 @@ from repro.scenarios import (
     verify_answers,
 )
 from repro.solvers.brute_force import certain_answer_brute_force
+from repro.solvers.sat import IncrementalSatSolver
+from repro.workloads.generators import chain_instance, hardness_gadget_instance
 
 
 class TestGenerators:
@@ -135,6 +140,50 @@ class TestOracle:
         mismatches = verify_answers(answered)
         assert len(mismatches) == 1
         assert mismatches[0].want is truth
+
+
+def _large_gadget():
+    return hardness_gadget_instance(random.Random(27), 11, 0), "ARRX"
+
+
+def _large_certain_chain():
+    return chain_instance("ARRX", repetitions=18, conflict_every=7), "ARRX"
+
+
+def _large_generalized():
+    db = hardness_gadget_instance(random.Random(27), 11, 1)
+    root = next(f.key for f in sorted(db.facts) if f.relation == "A")
+    return db, GeneralizedPathQuery("ARRX", {0: root})
+
+
+class TestOracleIndependence:
+    """Above the repair limit the oracle solves the shared encoding with
+    its own DPLL: with the engine's CDCL solver made to fail, it still
+    answers each coNP shape correctly."""
+
+    @pytest.fixture(autouse=True)
+    def failing_cdcl(self, monkeypatch):
+        def refuse(self, assumptions=()):
+            raise AssertionError("the oracle ran the engine's SAT solver")
+
+        monkeypatch.setattr(IncrementalSatSolver, "solve", refuse)
+
+    @pytest.mark.parametrize(
+        "build,want",
+        [
+            (_large_gadget, False),
+            (_large_certain_chain, True),
+            (_large_generalized, None),
+        ],
+        ids=["gadget", "certain-chain", "generalized"],
+    )
+    def test_reference_answer_without_the_engine_solver(self, build, want):
+        db, query = build()
+        assert count_repairs(db) > 512
+        truth = certain_answer_brute_force(db, query, repair_limit=None)
+        if want is not None:
+            assert truth.answer is want
+        assert reference_answer(db, query) is truth.answer
 
 
 class TestAxes:

@@ -1,4 +1,9 @@
-"""Tests for the DPLL solver and the CAvSAT-style encoding."""
+"""Tests for the SAT solvers and the CAvSAT-style encoding.
+
+The solver cases run twice: against the oracle's private reference DPLL
+(``TestDpll``) and against ``solve_clauses``, the CDCL entry every
+production route uses (``TestSolveClauses``).
+"""
 
 import itertools
 
@@ -9,7 +14,8 @@ from repro.db.evaluation import path_query_satisfied
 from repro.db.instance import DatabaseInstance
 from repro.db.repairs import count_repairs
 from repro.solvers.brute_force import certain_answer_brute_force
-from repro.solvers.sat import is_satisfiable, solve_clauses
+from repro.scenarios.oracle import _dpll_solve
+from repro.solvers.sat import solve_clauses
 from repro.solvers.sat_encoding import (
     certain_answer_sat,
     encode_falsifying_repair,
@@ -19,30 +25,32 @@ from repro.workloads.paper_instances import figure2_instance, figure3_instance
 
 
 class TestDpll:
+    solve = staticmethod(_dpll_solve)
+
     def test_simple_sat(self):
-        model = solve_clauses([[1, 2], [-1, 2], [1, -2]])
+        model = self.solve([[1, 2], [-1, 2], [1, -2]])
         assert model is not None
         assert model[1] or model[2]
 
     def test_simple_unsat(self):
-        assert solve_clauses([[1], [-1]]) is None
-        assert solve_clauses([[1, 2], [-1, 2], [1, -2], [-1, -2]]) is None
+        assert self.solve([[1], [-1]]) is None
+        assert self.solve([[1, 2], [-1, 2], [1, -2], [-1, -2]]) is None
 
     def test_empty_formula_sat(self):
-        assert solve_clauses([]) == {}
+        assert self.solve([]) == {}
 
     def test_tautologies_dropped(self):
-        assert solve_clauses([[1, -1]]) is not None
+        assert self.solve([[1, -1]]) is not None
 
     def test_zero_literal_rejected(self):
         with pytest.raises(ValueError):
-            solve_clauses([[0]])
+            self.solve([[0]])
 
     def test_models_satisfy(self, rng):
         for _ in range(40):
             formula = random_ksat(rng.randint(3, 6), rng.randint(1, 15), 3, rng)
             clauses, numbering = formula.to_int_clauses()
-            model = solve_clauses(clauses)
+            model = self.solve(clauses)
             if model is None:
                 continue
             for clause in clauses:
@@ -53,7 +61,13 @@ class TestDpll:
     def test_against_truth_table(self, rng):
         for _ in range(50):
             formula = random_ksat(rng.randint(2, 4), rng.randint(1, 10), 2, rng)
-            assert formula.is_satisfiable() == formula.brute_force_satisfiable()
+            clauses, _ = formula.to_int_clauses()
+            satisfiable = self.solve(clauses) is not None
+            assert satisfiable == formula.brute_force_satisfiable()
+
+
+class TestSolveClauses(TestDpll):
+    solve = staticmethod(solve_clauses)
 
 
 class TestEncoding:
@@ -63,12 +77,6 @@ class TestEncoding:
         assert len(var_fact) == 2
         # one at-least-one clause + one blocking clause per fact.
         assert [1, 2] in clauses or [2, 1] in clauses
-
-    def test_at_most_one_ablation(self):
-        db = DatabaseInstance.from_triples([("R", 0, 1), ("R", 0, 2)])
-        plain, _ = encode_falsifying_repair(db, "R", at_most_one=False)
-        amo, _ = encode_falsifying_repair(db, "R", at_most_one=True)
-        assert len(amo) > len(plain)
 
     def test_figure_instances(self):
         assert certain_answer_sat(figure2_instance(), "RRX").answer
@@ -84,12 +92,11 @@ class TestEncoding:
             if count_repairs(db) > 4000:
                 continue
             expected = certain_answer_brute_force(db, q).answer
-            for at_most_one in (False, True):
-                result = certain_answer_sat(db, q, at_most_one=at_most_one)
-                assert result.answer == expected
-                if not result.answer:
-                    assert result.falsifying_repair.is_repair_of(db)
-                    assert not path_query_satisfied(q, result.falsifying_repair)
+            result = certain_answer_sat(db, q)
+            assert result.answer == expected
+            if not result.answer:
+                assert result.falsifying_repair.is_repair_of(db)
+                assert not path_query_satisfied(q, result.falsifying_repair)
 
     def test_generalized_query_encoding(self, rng):
         from repro.queries.generalized import GeneralizedPathQuery
